@@ -17,7 +17,9 @@
    exactly the property reset discovery validates. *)
 
 type ('k, 'r) ops = {
-  reset : unit -> unit;  (* bring the device to the fixed initial state *)
+  reset : unit -> unit;
+      (* bring the device to the fixed initial state; ends every earlier
+         checkpoint (restoring one may raise Invalid_argument) *)
   access : 'k -> 'r;  (* one access, returning its observation *)
   checkpoint : unit -> unit -> unit;  (* capture state; thunk restores it *)
 }

@@ -7,10 +7,16 @@
     execution whenever the device is deterministic from reset. *)
 
 type ('k, 'r) ops = {
-  reset : unit -> unit;  (** bring the device to its fixed initial state *)
+  reset : unit -> unit;
+      (** bring the device to its fixed initial state.  A reset ends every
+          checkpoint taken before it: a device may raise
+          [Invalid_argument] when such a checkpoint is restored (hwsim
+          does), and must never restore a wrong state. *)
   access : 'k -> 'r;  (** one access, returning its observation *)
   checkpoint : unit -> unit -> unit;
-      (** capture the device state; the returned thunk restores it *)
+      (** capture the device state; the returned thunk restores it and
+          may be called again until the next [reset].  Checkpoints nest:
+          the executor restores them in stack order. *)
 }
 
 val run : ('k, 'r) ops -> 'k list list -> 'r list list

@@ -23,19 +23,26 @@ type t = {
   target : target;
   (* block -> physical address, lazily extended *)
   block_addr : (Cq_cache.Block.t, int) Hashtbl.t;
+  (* The addresses of [block_addr], split by origin: calibration scratch
+     blocks are loaded only by [calibrate], so a flushing reset has to
+     clflush them only while [calib_dirty]. *)
+  mutable block_addrs : int list;
+  mutable scratch_addrs : int list;
   mutable pool : int list; (* unassigned congruent addresses *)
   mutable pool_cursor : int; (* line index where enumeration resumes *)
   mutable threshold : int; (* latency <= threshold ==> hit at target level *)
   (* Addresses used to evict the target blocks from levels above the
-     target; chosen congruent at the higher level but non-interfering at
-     the target level and below. *)
-  filter_sets : (Cq_hwsim.Cpu_model.level * int list) list;
+     target, level by level; chosen congruent at the higher level but
+     non-interfering at the target level and below. *)
+  filter_addrs : int list;
   (* Sweep that evicts a block from the target level itself (same target
      set, non-interfering below); used by calibration to observe
      "miss at target, hit at next level" latencies.  Empty for L3, where
      a plain flush yields the memory-latency miss population. *)
   calib_sweep : int list;
-  mutable calib_dirty : bool; (* calibration touched the target set *)
+  mutable calib_dirty : bool;
+      (* calibration loaded its scratch blocks and sweep since the last
+         flushing reset *)
   (* Registry-backed load/recalibration accounting (Cq_util.Metrics): the
      report fields and a --metrics export read the same cells. *)
   timed_loads : Cq_util.Metrics.counter;
@@ -109,19 +116,20 @@ let levels_above = function
   | Cq_hwsim.Cpu_model.L2 -> [ Cq_hwsim.Cpu_model.L1 ]
   | Cq_hwsim.Cpu_model.L3 -> [ Cq_hwsim.Cpu_model.L1; Cq_hwsim.Cpu_model.L2 ]
 
-(* Build, for each level above the target, an eviction set: addresses that
+(* Build, for each level above the target, an eviction set (the result
+   concatenates them, closest level first): addresses that
    are congruent with the target's image at that level but map to a
    *different* set at the target level (and, for L1 filtering under an L3
    target, also a different L2 set), so that accessing them cannot disturb
    the state under measurement.  Their own L3 sets are also kept distinct
    from the target's to avoid inclusive back-invalidation. *)
-let build_filter_sets machine (target : target) =
+let build_filter_addrs machine (target : target) =
   let sample_addr =
     List.hd
       (Cq_hwsim.Machine.congruent_addresses machine target.level
          ~slice:target.slice ~set:target.set 1)
   in
-  List.map
+  List.concat_map
     (fun above ->
       let a_slice, a_set = Cq_hwsim.Machine.map_addr machine above sample_addr in
       let spec =
@@ -147,12 +155,9 @@ let build_filter_sets machine (target : target) =
       in
       (* Twice the associativity thrashes any of the deterministic policies
          we model out of the level. *)
-      let addrs =
-        Cq_hwsim.Machine.congruent_addresses machine above ~slice:a_slice
-          ~set:a_set ~filter:non_interfering
-          (2 * spec.Cq_hwsim.Cpu_model.assoc)
-      in
-      (above, addrs))
+      Cq_hwsim.Machine.congruent_addresses machine above ~slice:a_slice
+        ~set:a_set ~filter:non_interfering
+        (2 * spec.Cq_hwsim.Cpu_model.assoc))
     (levels_above target.level)
 
 (* Addresses in the *target* set itself whose L3 (or L2) images differ from
@@ -256,11 +261,13 @@ let create ?(disable_prefetchers = true) ?metrics machine (target : target) =
     machine;
     target;
     block_addr = Hashtbl.create 64;
+    block_addrs = [];
+    scratch_addrs = [];
     pool = [];
     pool_cursor = 0;
     (* model-derived default; refined by [calibrate] *)
     threshold;
-    filter_sets = build_filter_sets machine target;
+    filter_addrs = build_filter_addrs machine target;
     calib_sweep = build_calib_sweep machine target;
     calib_dirty = false;
     timed_loads = Cq_util.Metrics.counter registry "backend.timed_loads";
@@ -282,15 +289,21 @@ let create ?(disable_prefetchers = true) ?metrics machine (target : target) =
       + (Cq_hwsim.Machine.model machine).Cq_hwsim.Cpu_model.line_size;
   }
 
+(* Calibration scratch blocks, far away from the learning alphabet. *)
+let scratch_block i = Cq_cache.Block.aux (90_000 + i)
+let is_scratch block = Cq_cache.Block.compare block (scratch_block 0) >= 0
+
 (* Address of a block, allocating a fresh congruent address on first use. *)
 let rec addr_of_block t block =
-  match Hashtbl.find_opt t.block_addr block with
-  | Some a -> a
-  | None -> (
+  match Hashtbl.find t.block_addr block with
+  | a -> a
+  | exception Not_found -> (
       match t.pool with
       | a :: rest ->
           t.pool <- rest;
-          Hashtbl.add t.block_addr block a; (* cq-lint: allow hashtbl-add: find_opt miss *)
+          Hashtbl.add t.block_addr block a; (* cq-lint: allow hashtbl-add: find miss *)
+          if is_scratch block then t.scratch_addrs <- a :: t.scratch_addrs
+          else t.block_addrs <- a :: t.block_addrs;
           a
       | [] ->
           (* The calibration sweep draws from the same congruent stream;
@@ -315,15 +328,14 @@ let rec addr_of_block t block =
 
 (* Cache filtering: push the just-accessed data out of the levels above the
    target by sweeping the pre-computed non-interfering eviction sets. *)
-let filter_higher_levels t =
-  List.iter
-    (fun (_, addrs) ->
-      List.iter
-        (fun a ->
-          Cq_util.Metrics.incr t.filter_loads;
-          ignore (Cq_hwsim.Machine.load t.machine a))
-        addrs)
-    t.filter_sets
+let rec filter_loads_of t = function
+  | [] -> ()
+  | a :: rest ->
+      Cq_util.Metrics.incr t.filter_loads;
+      ignore (Cq_hwsim.Machine.load t.machine a);
+      filter_loads_of t rest
+
+let filter_higher_levels t = filter_loads_of t t.filter_addrs
 
 (* One timed, filtered load of a block; returns the measured cycles. *)
 let timed_load t block =
@@ -390,17 +402,25 @@ let flush_block t block =
   let addr = addr_of_block t block in
   Cq_hwsim.Machine.clflush t.machine addr
 
+let rec clflush_all machine = function
+  | [] -> ()
+  | a :: rest ->
+      Cq_hwsim.Machine.clflush machine a;
+      clflush_all machine rest
+
 (* Flush every address this backend has ever directed at the target set —
    assigned block addresses, the unassigned remainder of the pool, and the
-   calibration sweep.  This is the building block of the Flush+Refill
-   reset: afterwards the target set holds no valid line. *)
+   calibration scratch blocks and sweep.  This is the building block of
+   the Flush+Refill reset: afterwards the target set holds no valid line. *)
 let flush_all_known t =
   Cq_util.Trace.with_span ~cat:"backend" "backend.flush" @@ fun () ->
-  Hashtbl.iter (fun _ addr -> Cq_hwsim.Machine.clflush t.machine addr) t.block_addr;
+  clflush_all t.machine t.block_addrs;
   (* The unassigned pool has never been accessed, so it cannot be cached.
-     The calibration sweep only needs flushing once after calibration. *)
+     Only calibration loads its scratch blocks and sweep, so they need
+     flushing once after each calibration. *)
   if t.calib_dirty then begin
-    List.iter (Cq_hwsim.Machine.clflush t.machine) t.calib_sweep;
+    clflush_all t.machine t.scratch_addrs;
+    clflush_all t.machine t.calib_sweep;
     t.calib_dirty <- false
   end
 
@@ -444,10 +464,9 @@ let run_query_timed t (q : Cq_mbl.Expand.query) =
 let calibrate ?(samples = 64) t =
   Cq_util.Trace.with_span ~cat:"backend" "backend.calibrate" @@ fun () ->
   t.calib_dirty <- true;
-  let scratch i = Cq_cache.Block.aux (90_000 + i) in
   let hit_samples = ref [] and miss_samples = ref [] in
   for i = 0 to samples - 1 do
-    let b = scratch i in
+    let b = scratch_block i in
     (* First touch: fills the whole hierarchy. *)
     ignore (timed_load t b);
     (* Second touch after filtering: served by the target level. *)

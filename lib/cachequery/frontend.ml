@@ -44,6 +44,9 @@ type t = {
   backend : Backend.t;
   assoc : int; (* effective associativity of the target level *)
   mutable reset : reset;
+  (* The reset's MBL sequence, expanded once per [set_reset]; forced at
+     the first reset, so a bad sequence raises there as it always did. *)
+  mutable reset_query : Cq_mbl.Expand.query Lazy.t;
   mutable voting : voting;
   mutable memo_enabled : bool;
   max_memo_entries : int option; (* clear-on-overflow bound *)
@@ -53,6 +56,19 @@ type t = {
   stats : Cq_cache.Oracle.stats;
   metrics : Cq_util.Metrics.t option; (* for the static-analysis counters *)
 }
+
+let single_query ~assoc ast =
+  match Cq_mbl.Expand.expand ~assoc ast with
+  | [ q ] -> q
+  | _ -> invalid_arg "Frontend: reset sequence must expand to a single query"
+
+(* The single query a reset sequence runs after its optional flush. *)
+let reset_query ~assoc reset =
+  lazy
+    (match reset with
+    | No_reset -> []
+    | Flush_refill -> single_query ~assoc Cq_mbl.Ast.At
+    | Sequence ast | Flush_then ast -> single_query ~assoc ast)
 
 let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
     ?metrics backend =
@@ -69,10 +85,12 @@ let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
   | _ -> ());
   let machine = Backend.machine backend in
   let target = Backend.target backend in
+  let assoc = Cq_hwsim.Machine.effective_assoc machine target.Backend.level in
   {
     backend;
-    assoc = Cq_hwsim.Machine.effective_assoc machine target.Backend.level;
+    assoc;
     reset;
+    reset_query = reset_query ~assoc reset;
     voting;
     memo_enabled = true;
     max_memo_entries;
@@ -86,7 +104,9 @@ let create ?(reset = Flush_refill) ?repetitions ?voting ?max_memo_entries
 let backend t = t.backend
 let assoc t = t.assoc
 let stats t = t.stats
-let set_reset t reset = t.reset <- reset
+let set_reset t reset =
+  t.reset <- reset;
+  t.reset_query <- reset_query ~assoc:t.assoc reset
 let reset_sequence t = t.reset
 
 let set_voting t v =
@@ -131,13 +151,11 @@ let expand t input =
   let ast = Cq_analysis.Mbl_check.simplify ~assoc:t.assoc ast in
   Cq_mbl.Expand.expand ~assoc:t.assoc ast
 
-let run_reset_ast t ast =
-  match Cq_mbl.Expand.expand ~assoc:t.assoc ast with
-  | [ q ] -> ignore (Backend.run_query t.backend q)
-  | _ -> invalid_arg "Frontend: reset sequence must expand to a single query"
-
+(* A reset boundary also ends every machine checkpoint (the Batch.ops
+   contract): the journal never outlives a query. *)
 let apply_reset t =
   Cq_util.Trace.with_span ~cat:"frontend" "frontend.reset" @@ fun () ->
+  Cq_hwsim.Machine.end_checkpoints (Backend.machine t.backend);
   (* A reset boundary is the only safe point to honour a drift-triggered
      recalibration: calibration sweeps the target set, and the flushing
      resets below wipe its traces before the next query starts.  Non-flush
@@ -146,15 +164,12 @@ let apply_reset t =
   | Flush_refill | Flush_then _ ->
       ignore (Backend.maybe_recalibrate t.backend : bool)
   | No_reset | Sequence _ -> ());
-  match t.reset with
-  | No_reset -> ()
-  | Flush_refill ->
-      Backend.flush_all_known t.backend;
-      run_reset_ast t Cq_mbl.Ast.At
-  | Sequence ast -> run_reset_ast t ast
-  | Flush_then ast ->
-      Backend.flush_all_known t.backend;
-      run_reset_ast t ast
+  (match t.reset with
+  | Flush_refill | Flush_then _ -> Backend.flush_all_known t.backend
+  | No_reset | Sequence _ -> ());
+  match Lazy.force t.reset_query with
+  | [] -> ()
+  | q -> ignore (Backend.run_query t.backend q)
 
 (* Execute one expanded query: reset, run, and majority-vote over whole-
    query re-executions.  Returns the voted outcomes and the number of runs

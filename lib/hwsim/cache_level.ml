@@ -8,7 +8,12 @@
    and take the victim from whichever the global PSEL counter currently
    selects.  Leader-B sets can additionally be noisy (Haswell), re-touching
    freshly installed ways at random, which makes them nondeterministic and
-   — as in the paper — unlearnable. *)
+   — as in the paper — unlearnable.
+
+   Checkpoints are journaled: while one is live, the first write to a set
+   in the current generation saves that set's content and policy state,
+   and a restore undoes exactly the saved sets.  Both operations cost
+   O(sets written), not O(sets ever allocated). *)
 
 type set_kind = Plain | Leader_a | Leader_b | Follower
 
@@ -19,10 +24,21 @@ let set_kind_to_string = function
   | Follower -> "follower"
 
 type set_state = {
-  content : int option array; (* line address per way; None = invalid *)
+  content : int array; (* line address per way; [invalid] = empty way *)
   inst_a : Cq_policy.Instance.t;
   inst_b : Cq_policy.Instance.t option; (* only for follower sets *)
   kind : set_kind;
+  mutable saved_gen : int; (* journal generation this set was saved in *)
+}
+
+let invalid = -1
+
+(* A set as it was before its first write in some generation. *)
+type entry = {
+  set : set_state;
+  saved_content : int array;
+  restore_a : unit -> unit;
+  restore_b : unit -> unit;
 }
 
 type t = {
@@ -33,6 +49,13 @@ type t = {
   prng : Cq_util.Prng.t;
   mutable fills : int;
   mutable evictions : int;
+  (* The journal, newest entry first.  A checkpoint is the journal value
+     at the time it was taken; restoring pops entries until the journal is
+     physically that value again. *)
+  mutable journal : entry list;
+  mutable live : bool; (* some checkpoint is live: writes are journaled *)
+  mutable gen : int; (* bumped by every checkpoint and restore *)
+  mutable epoch : int; (* bumped by [end_checkpoints] *)
 }
 
 let create ?(effective_assoc = -1) ~prng level (spec : Cpu_model.level_spec) =
@@ -47,6 +70,10 @@ let create ?(effective_assoc = -1) ~prng level (spec : Cpu_model.level_spec) =
     prng;
     fills = 0;
     evictions = 0;
+    journal = [];
+    live = false;
+    gen = 0;
+    epoch = 0;
   }
 
 let effective_assoc t = t.effective_assoc
@@ -77,33 +104,60 @@ let new_set t ~slice ~set =
             ( Cq_policy.Instance.create (a.policy_a assoc),
               Some (Cq_policy.Instance.create (a.policy_b assoc)) ))
   in
-  { content = Array.make assoc None; inst_a; inst_b; kind }
+  (* A set allocated while a checkpoint is live is pristine, which is the
+     state it had at that checkpoint: its first write journals it as such. *)
+  { content = Array.make assoc invalid; inst_a; inst_b; kind; saved_gen = -1 }
 
 let get_set t ~slice ~set =
   let k = key t ~slice ~set in
-  match Hashtbl.find_opt t.sets k with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.sets k with
+  | s -> s
+  | exception Not_found ->
       let s = new_set t ~slice ~set in
-      Hashtbl.add t.sets k s; (* cq-lint: allow hashtbl-add: find_opt miss *)
+      Hashtbl.add t.sets k s; (* cq-lint: allow hashtbl-add: find miss *)
       s
 
 let kind t ~slice ~set = (get_set t ~slice ~set).kind
 
-let find t ~slice ~set ~line =
-  let st = get_set t ~slice ~set in
-  let found = ref None in
-  Array.iteri
-    (fun way b -> if !found = None && b = Some line then found := Some way)
-    st.content;
-  !found
+let no_restore () = ()
+
+(* Save [st] before its first write of the current generation. *)
+let journal t st =
+  if t.live && st.saved_gen <> t.gen then begin
+    st.saved_gen <- t.gen;
+    let entry =
+      {
+        set = st;
+        saved_content = Array.copy st.content;
+        restore_a = Cq_policy.Instance.checkpoint st.inst_a;
+        restore_b =
+          (match st.inst_b with
+          | Some b -> Cq_policy.Instance.checkpoint b
+          | None -> no_restore);
+      }
+    in
+    t.journal <- entry :: t.journal
+  end
+
+(* The way of [content] holding [line], or -1.  Typed, so the compare is
+   an integer compare rather than a polymorphic-equality call. *)
+let way_of (content : int array) (line : int) =
+  let way = ref (-1) and w = ref 0 in
+  while !way < 0 && !w < Array.length content do
+    if Array.unsafe_get content !w = line then way := !w;
+    incr w
+  done;
+  !way
+
+let find t ~slice ~set ~line = way_of (get_set t ~slice ~set).content line
 
 let touch_instances st way =
   Cq_policy.Instance.touch st.inst_a way;
-  Option.iter (fun i -> Cq_policy.Instance.touch i way) st.inst_b
+  match st.inst_b with Some b -> Cq_policy.Instance.touch b way | None -> ()
 
 let hit t ~slice ~set ~way =
   let st = get_set t ~slice ~set in
+  journal t st;
   touch_instances st way
 
 let noisy_b t =
@@ -113,85 +167,103 @@ let noisy_b t =
 
 (* Install [line]; [use_b] selects the secondary policy's victim in follower
    sets (driven by the machine's PSEL counter).  Returns the evicted line,
-   if any, so the machine can maintain inclusivity. *)
+   or -1, so the machine can maintain inclusivity. *)
 let fill t ~slice ~set ~line ~use_b =
   let st = get_set t ~slice ~set in
+  journal t st;
   t.fills <- t.fills + 1;
-  let invalid_way =
-    let found = ref None in
-    Array.iteri (fun w b -> if !found = None && b = None then found := Some w) st.content;
-    !found
-  in
-  match invalid_way with
-  | Some way ->
-      st.content.(way) <- Some line;
-      if t.spec.fill_touches_policy then touch_instances st way;
-      None
-  | None ->
-      t.evictions <- t.evictions + 1;
-      let victim_a = Cq_policy.Instance.evict st.inst_a in
-      let victim_b = Option.map Cq_policy.Instance.evict st.inst_b in
-      let victim =
-        match (use_b, victim_b) with true, Some v -> v | _ -> victim_a
-      in
-      let evicted = st.content.(victim) in
-      st.content.(victim) <- Some line;
-      (* Haswell's thrash-resistant leader sets behave nondeterministically:
-         model this as a random extra touch of the installed way. *)
-      if st.kind = Leader_b && noisy_b t && Cq_util.Prng.bool t.prng 0.25 then
-        touch_instances st victim;
-      evicted
+  let way = way_of st.content invalid in
+  if way >= 0 then begin
+    st.content.(way) <- line;
+    if t.spec.fill_touches_policy then touch_instances st way;
+    invalid
+  end
+  else begin
+    t.evictions <- t.evictions + 1;
+    let victim_a = Cq_policy.Instance.evict st.inst_a in
+    let victim =
+      match st.inst_b with
+      | Some b ->
+          let victim_b = Cq_policy.Instance.evict b in
+          if use_b then victim_b else victim_a
+      | None -> victim_a
+    in
+    let evicted = st.content.(victim) in
+    st.content.(victim) <- line;
+    (* Haswell's thrash-resistant leader sets behave nondeterministically:
+       model this as a random extra touch of the installed way. *)
+    if st.kind = Leader_b && noisy_b t && Cq_util.Prng.bool t.prng 0.25 then
+      touch_instances st victim;
+    evicted
+  end
 
 let invalidate t ~slice ~set ~line =
-  match Hashtbl.find_opt t.sets (key t ~slice ~set) with
-  | None -> ()
-  | Some st ->
-      Array.iteri
-        (fun way b -> if b = Some line then st.content.(way) <- None)
-        st.content
+  match Hashtbl.find t.sets (key t ~slice ~set) with
+  | exception Not_found -> ()
+  | st ->
+      let way = way_of st.content line in
+      if way >= 0 then begin
+        journal t st;
+        st.content.(way) <- invalid
+      end
 
 (* wbinvd: drop all cached content.  Replacement state is *not* reset —
    real hardware leaves the (now stale) replacement metadata in place. *)
 let flush_content t =
   Hashtbl.iter
-    (fun _ st -> Array.iteri (fun w _ -> st.content.(w) <- None) st.content)
+    (fun _ st ->
+      journal t st;
+      Array.fill st.content 0 (Array.length st.content) invalid)
     t.sets
 
-(* Checkpoint the whole level: tag content, both policy instances and the
-   counters of every allocated set, plus the level PRNG position.  The
-   restore thunk also *drops* sets allocated after the checkpoint — they
-   reappear lazily in their pristine state, which is exactly the state
-   they had when the checkpoint was taken (never touched).  Used by the
-   machine-level snapshots behind prefix-sharing batch execution. *)
+(* A checkpoint is the journal as it stands plus the level's scalar state.
+   Its restore thunk undoes the entries pushed since, newest first, and
+   stays reusable: the next generation re-journals whatever is written
+   after it.  A reset ([end_checkpoints]) ends every checkpoint, and so
+   does restoring an older one (the entries it pops are gone); restoring
+   an ended checkpoint raises instead of restoring a wrong state. *)
 let checkpoint t =
-  let saved =
-    Hashtbl.fold
-      (fun key st acc ->
-        ( key,
-          st,
-          Array.copy st.content,
-          Cq_policy.Instance.checkpoint st.inst_a,
-          Option.map Cq_policy.Instance.checkpoint st.inst_b )
-        :: acc)
-      t.sets []
-  in
+  t.live <- true;
+  t.gen <- t.gen + 1;
+  let mark = t.journal and epoch = t.epoch in
   let fills = t.fills and evictions = t.evictions in
   let restore_prng = Cq_util.Prng.checkpoint t.prng in
   fun () ->
-    Hashtbl.reset t.sets;
-    List.iter
-      (fun (key, st, content, restore_a, restore_b) ->
-        Array.blit content 0 st.content 0 (Array.length content);
-        restore_a ();
-        Option.iter (fun r -> r ()) restore_b;
-        (* cq-lint: allow hashtbl-add: the table was reset just above *)
-        Hashtbl.add t.sets key st)
-      saved;
+    let rec reaches = function
+      | j when j == mark -> true
+      | [] -> false
+      | _ :: rest -> reaches rest
+    in
+    if epoch <> t.epoch || not (reaches t.journal) then
+      invalid_arg "Cache_level: restoring a checkpoint that has ended";
+    let rec undo j =
+      if j != mark then
+        match j with
+        | [] -> assert false
+        | e :: rest ->
+            Array.blit e.saved_content 0 e.set.content 0
+              (Array.length e.saved_content);
+            e.restore_a ();
+            e.restore_b ();
+            undo rest
+    in
+    undo t.journal;
+    t.journal <- mark;
+    t.gen <- t.gen + 1;
     t.fills <- fills;
     t.evictions <- evictions;
     restore_prng ()
 
+let end_checkpoints t =
+  t.journal <- [];
+  t.live <- false;
+  t.epoch <- t.epoch + 1
+
 (* Test-only introspection. *)
-let peek_content t ~slice ~set = Array.copy (get_set t ~slice ~set).content
+let peek_content t ~slice ~set =
+  Array.map
+    (fun line -> if line = invalid then None else Some line)
+    (get_set t ~slice ~set).content
+
 let fills t = t.fills
 let evictions t = t.evictions

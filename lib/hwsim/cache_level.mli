@@ -31,18 +31,18 @@ val spec : t -> Cpu_model.level_spec
 
 val kind : t -> slice:int -> set:int -> set_kind
 
-val find : t -> slice:int -> set:int -> line:int -> int option
-(** The way holding [line], if cached. *)
+val find : t -> slice:int -> set:int -> line:int -> int
+(** The way holding [line], or [-1] if it is not cached. *)
 
 val hit : t -> slice:int -> set:int -> way:int -> unit
 (** Touch the replacement state (both instances, in follower sets) for a
     hit on [way]. *)
 
-val fill : t -> slice:int -> set:int -> line:int -> use_b:bool -> int option
+val fill : t -> slice:int -> set:int -> line:int -> use_b:bool -> int
 (** Install [line], filling an invalid way if one exists, otherwise
     evicting the policy's victim; [use_b] selects the secondary policy's
     victim in follower sets (driven by the machine's PSEL counter).
-    Returns the evicted line, if any, so the machine can maintain
+    Returns the evicted line, or [-1], so the machine can maintain
     inclusivity. *)
 
 val invalidate : t -> slice:int -> set:int -> line:int -> unit
@@ -54,10 +54,21 @@ val flush_content : t -> unit
     metadata in place. *)
 
 val checkpoint : t -> unit -> unit
-(** Checkpoint the whole level (tag content, policy instances, counters,
-    PRNG position); the returned thunk restores it, dropping sets
-    allocated after the checkpoint (they reappear lazily, pristine —
-    exactly the state they had when the checkpoint was taken). *)
+(** Checkpoint the level (tag content, policy instances, counters, PRNG
+    position); the returned thunk restores it and may be called again.
+    Checkpoints are journaled: while one is live, the first write to a
+    set after a checkpoint or restore saves that set, and a restore
+    undoes only the saved sets, so both cost O(sets written).  A set
+    first allocated after the checkpoint is restored to its pristine
+    state, the state it had when the checkpoint was taken.  Checkpoints
+    nest.  Restoring one after {!end_checkpoints}, or after an older
+    checkpoint's restore has popped the journal entries it needs, raises
+    [Invalid_argument]. *)
+
+val end_checkpoints : t -> unit
+(** End every live checkpoint and drop the journal; writes are not
+    journaled again until the next {!checkpoint}.  The machine calls this
+    at every query reset, so the journal never outlives a query. *)
 
 (** {1 Introspection (tests, diagnostics)} *)
 

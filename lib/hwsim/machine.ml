@@ -56,6 +56,7 @@ type t = {
   mutable loads : int;
   mutable last_line : int; (* for the adjacent-line prefetcher *)
   mutable burst_remaining : int; (* loads left in the active noise burst *)
+  slice_bits : int; (* log2 of the L3 slice count *)
 }
 
 let psel_max = 1023
@@ -75,6 +76,9 @@ let create ?(seed = 0xC0FFEEL) ?(noise = quiet_noise) model =
     loads = 0;
     last_line = -1;
     burst_remaining = 0;
+    slice_bits =
+      int_of_float
+        (Float.round (Float.log2 (float_of_int model.Cpu_model.l3.slices)));
   }
 
 let model t = t.model
@@ -104,24 +108,27 @@ let parity64 x =
   x land 1
 
 let slice_of_addr t addr =
-  let spec = t.model.Cpu_model.l3 in
-  if spec.slices = 1 then 0
-  else
-    let bits = int_of_float (Float.round (Float.log2 (float_of_int spec.slices))) in
-    let s = ref 0 in
-    for j = 0 to bits - 1 do
-      let mask = t.model.Cpu_model.slice_masks.(j) in
-      s := !s lor (parity64 (addr land mask) lsl j)
-    done;
-    !s
+  let s = ref 0 in
+  for j = 0 to t.slice_bits - 1 do
+    let mask = t.model.Cpu_model.slice_masks.(j) in
+    s := !s lor (parity64 (addr land mask) lsl j)
+  done;
+  !s
+
+(* The load path maps a line one coordinate at a time, allocating no
+   tuple: only the L3 is sliced. *)
+let slice_of_line t level line =
+  match level with
+  | Cpu_model.L1 | Cpu_model.L2 -> 0
+  | Cpu_model.L3 -> slice_of_addr t (line * t.model.Cpu_model.line_size)
+
+let set_of_line t level line =
+  line land ((Cpu_model.spec t.model level).sets_per_slice - 1)
 
 (* (slice, set) a physical address maps to at a given level. *)
 let map_addr t level addr =
-  let spec = Cpu_model.spec t.model level in
   let line = line_of_addr t addr in
-  match level with
-  | Cpu_model.L1 | Cpu_model.L2 -> (0, line land (spec.sets_per_slice - 1))
-  | Cpu_model.L3 -> (slice_of_addr t addr, line land (spec.sets_per_slice - 1))
+  (slice_of_line t level line, set_of_line t level line)
 
 (* Enumerate distinct physical addresses congruent with the given (slice,
    set) at [level], optionally filtered.  Addresses are line-aligned; the
@@ -180,71 +187,68 @@ let follower_uses_b t = t.psel >= psel_threshold
 
 (* --- The load path ----------------------------------------------------- *)
 
+(* Invalidate [line] at a level (clflush, inclusive back-invalidation). *)
+let invalidate_line t level line =
+  Cache_level.invalidate (level_cache t level)
+    ~slice:(slice_of_line t level line) ~set:(set_of_line t level line) ~line
+
 let fill_level t level ~line =
-  let cache = level_cache t level in
-  let addr = line * t.model.Cpu_model.line_size in
-  let slice, set = map_addr t level addr in
+  let slice = slice_of_line t level line and set = set_of_line t level line in
   let use_b =
     match level with Cpu_model.L3 -> follower_uses_b t | _ -> false
   in
   if level = Cpu_model.L3 then record_l3_miss t ~slice ~set;
-  let evicted = Cache_level.fill cache ~slice ~set ~line ~use_b in
+  let evicted = Cache_level.fill (level_cache t level) ~slice ~set ~line ~use_b in
   (* Inclusive L3: evicting a line from L3 back-invalidates it everywhere. *)
-  (match (level, evicted) with
-  | Cpu_model.L3, Some ev ->
-      let ev_addr = ev * t.model.Cpu_model.line_size in
-      List.iter
-        (fun l ->
-          let sl, st = map_addr t l ev_addr in
-          Cache_level.invalidate (level_cache t l) ~slice:sl ~set:st ~line:ev)
-        [ Cpu_model.L1; Cpu_model.L2 ]
-  | _ -> ());
-  evicted
+  if level = Cpu_model.L3 && evicted >= 0 then begin
+    invalidate_line t Cpu_model.L1 evicted;
+    invalidate_line t Cpu_model.L2 evicted
+  end
 
-let probe_level t level ~line =
-  let addr = line * t.model.Cpu_model.line_size in
-  let slice, set = map_addr t level addr in
-  (Cache_level.find (level_cache t level) ~slice ~set ~line, slice, set)
+(* Whether [line] is cached at [level]; on a hit, touch its replacement
+   state. *)
+let hit_level t level ~line =
+  let cache = level_cache t level in
+  let slice = slice_of_line t level line and set = set_of_line t level line in
+  let way = Cache_level.find cache ~slice ~set ~line in
+  if way >= 0 then Cache_level.hit cache ~slice ~set ~way;
+  way >= 0
+
+let cached_at t level ~line =
+  Cache_level.find (level_cache t level)
+    ~slice:(slice_of_line t level line) ~set:(set_of_line t level line) ~line
+  >= 0
 
 (* Load without timing: returns the level that served the access. *)
 let load_raw t addr =
   t.loads <- t.loads + 1;
   let line = line_of_addr t addr in
   let served =
-    match probe_level t Cpu_model.L1 ~line with
-    | Some way, slice, set ->
-        Cache_level.hit t.l1 ~slice ~set ~way;
-        `L1
-    | None, _, _ -> (
-        match probe_level t Cpu_model.L2 ~line with
-        | Some way, slice, set ->
-            Cache_level.hit t.l2 ~slice ~set ~way;
-            ignore (fill_level t Cpu_model.L1 ~line);
-            `L2
-        | None, _, _ -> (
-            match probe_level t Cpu_model.L3 ~line with
-            | Some way, slice, set ->
-                Cache_level.hit t.l3 ~slice ~set ~way;
-                ignore (fill_level t Cpu_model.L2 ~line);
-                ignore (fill_level t Cpu_model.L1 ~line);
-                `L3
-            | None, _, _ ->
-                ignore (fill_level t Cpu_model.L3 ~line);
-                ignore (fill_level t Cpu_model.L2 ~line);
-                ignore (fill_level t Cpu_model.L1 ~line);
-                `Memory))
+    if hit_level t Cpu_model.L1 ~line then `L1
+    else if hit_level t Cpu_model.L2 ~line then begin
+      fill_level t Cpu_model.L1 ~line;
+      `L2
+    end
+    else if hit_level t Cpu_model.L3 ~line then begin
+      fill_level t Cpu_model.L2 ~line;
+      fill_level t Cpu_model.L1 ~line;
+      `L3
+    end
+    else begin
+      fill_level t Cpu_model.L3 ~line;
+      fill_level t Cpu_model.L2 ~line;
+      fill_level t Cpu_model.L1 ~line;
+      `Memory
+    end
   in
   (* Adjacent-line prefetcher: on an L2-or-beyond access, the buddy line of
      the 128-byte pair is pulled into L2.  Disabled by CacheQuery. *)
   (if t.prefetchers && served <> `L1 then
      let buddy = line lxor 1 in
-     let buddy_addr = buddy * t.model.Cpu_model.line_size in
-     let in_l2, _, _ = probe_level t Cpu_model.L2 ~line:buddy in
-     if in_l2 = None then begin
-       let in_l3, _, _ = probe_level t Cpu_model.L3 ~line:buddy in
-       if in_l3 = None then ignore (fill_level t Cpu_model.L3 ~line:buddy);
-       ignore (fill_level t Cpu_model.L2 ~line:buddy);
-       ignore buddy_addr
+     if not (cached_at t Cpu_model.L2 ~line:buddy) then begin
+       if not (cached_at t Cpu_model.L3 ~line:buddy) then
+         fill_level t Cpu_model.L3 ~line:buddy;
+       fill_level t Cpu_model.L2 ~line:buddy
      end);
   t.last_line <- line;
   served
@@ -296,10 +300,15 @@ let load t addr =
 (* Checkpoint the full architectural state: all three levels (content,
    replacement metadata, lazily-allocated set population), the set-dueling
    counter, the prefetcher state and the noise state (PRNG position and
-   the active burst).  The [loads] counter is deliberately *not* rewound —
-   it counts work performed, which is what the engine benchmark measures
-   (and what latency drift keys on).  This is the primitive that lets the
-   CacheQuery frontend execute query batches with prefix sharing.
+   the active burst).  Each level journals the sets written after the
+   checkpoint (Cache_level.checkpoint), so checkpoint and restore cost
+   what the query wrote since, not what the run ever touched.  The level
+   references are saved too: a [set_cat_ways] after the checkpoint swaps
+   in a fresh L3, and the restore swaps the old one back.  The [loads]
+   counter is deliberately *not* rewound — it counts work performed,
+   which is what the engine benchmark measures (and what latency drift
+   keys on).  This is the primitive that lets the CacheQuery frontend
+   execute query batches with prefix sharing.
 
    [rewind_noise:false] restores the architectural state but leaves the
    noise stream where it is, so re-executing the same access draws an
@@ -315,12 +324,15 @@ let checkpoint ?(rewind_noise = true) t =
   let restore_prng = Cq_util.Prng.checkpoint t.prng in
   let burst_remaining = t.burst_remaining in
   fun () ->
-    t.l1 <- l1;
-    t.l2 <- l2;
-    t.l3 <- l3;
+    (* L1 is never swapped out, and [end_checkpoints] ends all three
+       levels' checkpoints together: an ended checkpoint raises here,
+       before anything is restored. *)
     restore_l1 ();
     restore_l2 ();
     restore_l3 ();
+    t.l1 <- l1;
+    t.l2 <- l2;
+    t.l3 <- l3;
     t.psel <- psel;
     t.prefetchers <- prefetchers;
     t.last_line <- last_line;
@@ -329,18 +341,21 @@ let checkpoint ?(rewind_noise = true) t =
       t.burst_remaining <- burst_remaining
     end
 
+let end_checkpoints t =
+  Cache_level.end_checkpoints t.l1;
+  Cache_level.end_checkpoints t.l2;
+  Cache_level.end_checkpoints t.l3
+
 let clflush t addr =
   let line = line_of_addr t addr in
-  List.iter
-    (fun level ->
-      let slice, set = map_addr t level addr in
-      Cache_level.invalidate (level_cache t level) ~slice ~set ~line)
-    Cpu_model.all_levels
+  invalidate_line t Cpu_model.L1 line;
+  invalidate_line t Cpu_model.L2 line;
+  invalidate_line t Cpu_model.L3 line
 
 let wbinvd t =
-  List.iter
-    (fun level -> Cache_level.flush_content (level_cache t level))
-    Cpu_model.all_levels
+  Cache_level.flush_content t.l1;
+  Cache_level.flush_content t.l2;
+  Cache_level.flush_content t.l3
 
 (* Batch replay: drive a block-id trace through one (slice, set) of a
    level, classifying each access by the level that served it.  Block id

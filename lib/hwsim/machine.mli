@@ -90,12 +90,23 @@ val load : t -> int -> int
 val checkpoint : ?rewind_noise:bool -> t -> unit -> unit
 (** Checkpoint the full architectural state (all three levels, the
     set-dueling counter, prefetcher and noise state); the returned thunk
-    restores it.  This is the primitive behind prefix-sharing batch
-    execution.  [rewind_noise:false] restores the architectural state
-    but leaves the noise stream where it is, so re-executing the same
-    access draws an {e independent} measurement — exactly what
+    restores it and may be called again.  This is the primitive behind
+    prefix-sharing batch execution.  Each level journals the sets written
+    after a checkpoint or restore ({!Cache_level.checkpoint}), so both
+    cost O(sets written since), not O(sets ever touched).  Checkpoints
+    nest.  Restoring one after {!end_checkpoints}, or after an older
+    checkpoint's restore has discarded the state it needs, raises
+    [Invalid_argument].  [rewind_noise:false] restores the architectural
+    state but leaves the noise stream where it is, so re-executing the
+    same access draws an {e independent} measurement — exactly what
     re-measuring a disputed load on silicon does (the voting layer uses
     this). *)
+
+val end_checkpoints : t -> unit
+(** End every live checkpoint and drop the levels' journals.  The
+    CacheQuery frontend calls this at every query reset (the batch
+    executor's reset contract), so a journal never outlives a query;
+    until the next {!checkpoint}, writes are not journaled at all. *)
 
 val clflush : t -> int -> unit
 (** Evict the address's line from every level. *)

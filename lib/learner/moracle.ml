@@ -80,41 +80,56 @@ let counting stats t =
 
 (* Prefix-tree cache.  Output queries are prefix-closed (the outputs of a
    prefix are a prefix of the outputs), so a trie lets us answer any query
-   whose whole path is known, and to extend partial knowledge cheaply. *)
+   whose whole path is known, and to extend partial knowledge cheaply.
+
+   The trie is most of the learner's live set, so its nodes are compact: a
+   node's children are an array indexed by input, [n_inputs] wide and
+   allocated on the first child, and a leaf's array is empty.  Empty slots
+   hold the trie's [absent] node, which never gets an output. *)
 module Trie = struct
   type 'o node = {
     mutable out : 'o option; (* output on the edge leading here *)
-    children : (int, 'o node) Hashtbl.t;
+    mutable children : 'o node array; (* by input; [||] for a leaf *)
   }
 
-  let create () = { out = None; children = Hashtbl.create 4 }
+  type 'o t = { n_inputs : int; root : 'o node; absent : 'o node }
 
-  let rec lookup node = function
-    | [] -> Some []
-    | i :: rest -> (
-        match Hashtbl.find_opt node.children i with
-        | None -> None
-        | Some child -> (
-            match child.out with
-            | None -> None
-            | Some o -> (
-                match lookup child rest with
-                | None -> None
-                | Some os -> Some (o :: os))))
+  let leaf () = { out = None; children = [||] }
+  let create n_inputs = { n_inputs; root = leaf (); absent = leaf () }
 
-  let insert node word outputs =
+  (* The child of [node] along input [i], or [absent]. *)
+  let child t node i =
+    if Array.length node.children = 0 then t.absent else node.children.(i)
+
+  let lookup t word =
+    let rec go node = function
+      | [] -> Some []
+      | i :: rest -> (
+          let c = child t node i in
+          match c.out with
+          | None -> None
+          | Some o -> (
+              match go c rest with None -> None | Some os -> Some (o :: os)))
+    in
+    go t.root word
+
+  let add_child t node i =
+    let c = child t node i in
+    if c != t.absent then c
+    else begin
+      if Array.length node.children = 0 then
+        node.children <- Array.make t.n_inputs t.absent;
+      let c = leaf () in
+      node.children.(i) <- c;
+      c
+    end
+
+  let insert t word outputs =
     let rec go node word outputs =
       match (word, outputs) with
       | [], [] -> ()
       | i :: wrest, o :: orest ->
-          let child =
-            match Hashtbl.find_opt node.children i with
-            | Some c -> c
-            | None ->
-                let c = create () in
-                Hashtbl.add node.children i c; (* cq-lint: allow hashtbl-add: find_opt miss *)
-                c
-          in
+          let child = add_child t node i in
           (match child.out with
           | None -> child.out <- Some o
           | Some o' ->
@@ -126,51 +141,42 @@ module Trie = struct
           go child wrest orest
       | _ -> invalid_arg "Moracle.Trie.insert: length mismatch"
     in
-    go node word outputs
+    go t.root word outputs
 
   (* Overwrite the outputs along [word] unconditionally — used when
      arbitration decided a previously cached answer was the corrupt one. *)
-  let insert_force node word outputs =
+  let insert_force t word outputs =
     let rec go node word outputs =
       match (word, outputs) with
       | [], [] -> ()
       | i :: wrest, o :: orest ->
-          let child =
-            match Hashtbl.find_opt node.children i with
-            | Some c -> c
-            | None ->
-                let c = create () in
-                Hashtbl.add node.children i c; (* cq-lint: allow hashtbl-add: find_opt miss *)
-                c
-          in
+          let child = add_child t node i in
           child.out <- Some o;
           go child wrest orest
       | _ -> invalid_arg "Moracle.Trie.insert_force: length mismatch"
     in
-    go node word outputs
+    go t.root word outputs
 
   (* Maximal known paths: the trie is prefix-closed (every non-root node
      carries an output), so the root-to-leaf words reconstruct the entire
-     trie under [insert_force].  This is the session-snapshot dump. *)
-  let export root =
+     trie under [insert_force].  This is the session-snapshot dump; it
+     runs at every snapshot, so a leaf is told by its array's length. *)
+  let export t =
     let acc = ref [] in
-    let n = ref 0 in
     let rec go node rev_word rev_out =
-      if Hashtbl.length node.children = 0 then begin
-        if rev_word <> [] then begin
-          acc := (List.rev rev_word, List.rev rev_out) :: !acc;
-          incr n
-        end
+      if Array.length node.children = 0 then begin
+        if rev_word <> [] then
+          acc := (List.rev rev_word, List.rev rev_out) :: !acc
       end
       else
-        Hashtbl.iter
+        Array.iteri
           (fun i child ->
             match child.out with
             | Some o -> go child (i :: rev_word) (o :: rev_out)
-            | None -> () (* unreachable for tries built by insert *))
+            | None -> () (* an empty slot *))
           node.children
     in
-    go root [] [];
+    go t.root [] [];
     !acc
 end
 
@@ -190,7 +196,7 @@ type 'o handle = {
 let cached_session ?stats ?(conflict_retries = 0) t =
   if conflict_retries < 0 then
     invalid_arg "Moracle.cached: conflict_retries must be >= 0";
-  let root = Trie.create () in
+  let trie = Trie.create t.n_inputs in
   let note_hit () =
     match stats with Some s -> Cq_util.Metrics.incr s.cache_hits | None -> ()
   in
@@ -219,11 +225,11 @@ let cached_session ?stats ?(conflict_retries = 0) t =
       else begin
         let outputs = t.query w in
         check_length w outputs;
-        match Trie.insert root w outputs with
+        match Trie.insert trie w outputs with
         | () -> outputs
         | exception Inconsistent _ ->
             if prev = outputs then begin
-              Trie.insert_force root w outputs;
+              Trie.insert_force trie w outputs;
               outputs
             end
             else go (k + 1) outputs
@@ -244,31 +250,31 @@ let cached_session ?stats ?(conflict_retries = 0) t =
       else settle (k + 1) (Some outputs)
     in
     let outputs = settle 0 None in
-    (match Trie.lookup root w with
+    (match Trie.lookup trie w with
     | Some old when old <> outputs -> note_conflict ()
     | _ -> ());
-    Trie.insert_force root w outputs;
+    Trie.insert_force trie w outputs;
     outputs
   in
   (* [preload]: trust the snapshot unconditionally — it was digested at
      write time, and on resume the trie is empty anyway.  [insert_force]
      keeps a later entry authoritative if paths overlap. *)
   let preload knowledge =
-    List.iter (fun (w, outputs) -> Trie.insert_force root w outputs) knowledge
+    List.iter (fun (w, outputs) -> Trie.insert_force trie w outputs) knowledge
   in
-  let export () = Trie.export root in
+  let export () = Trie.export trie in
   ( {
       t with
       query =
       (fun w ->
-        match Trie.lookup root w with
+        match Trie.lookup trie w with
         | Some outputs ->
             note_hit ();
             outputs
         | None -> (
             let outputs = t.query w in
             check_length w outputs;
-            match Trie.insert root w outputs with
+            match Trie.insert trie w outputs with
             | () -> outputs
             | exception Inconsistent msg -> arbitrate w outputs msg));
     query_batch =
@@ -281,7 +287,7 @@ let cached_session ?stats ?(conflict_retries = 0) t =
         let order = ref [] in
         List.iter
           (fun w ->
-            if Trie.lookup root w = None then begin
+            if Trie.lookup trie w = None then begin
               let key = Cq_util.Deep.pack w in
               if not (Hashtbl.mem missing key) then begin
                 Hashtbl.replace missing key ();
@@ -295,13 +301,13 @@ let cached_session ?stats ?(conflict_retries = 0) t =
            List.iter2
              (fun w outputs ->
                check_length w outputs;
-               match Trie.insert root w outputs with
+               match Trie.insert trie w outputs with
                | () -> ()
                | exception Inconsistent msg -> ignore (arbitrate w outputs msg))
              todo answers);
         List.map
           (fun w ->
-            match Trie.lookup root w with
+            match Trie.lookup trie w with
             | Some outputs ->
                 if not (Hashtbl.mem missing (Cq_util.Deep.pack w)) then
                   note_hit ();

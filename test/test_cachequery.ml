@@ -219,6 +219,55 @@ let test_toy_l3_leader () =
       Alcotest.fail (Fmt.str "%a" Cq_core.Learn.pp_failure failure)
   | Cq_core.Hardware.Failed { reason; _ } -> Alcotest.fail reason
 
+(* A flushing reset clflushes the calibration scratch blocks and sweep
+   only while calibration has loaded them since the last flush.  Pin that
+   rule: after calibrating, after each flushing reset that follows (the
+   first, a later one, and the one after a forced recalibration), no line
+   of the address stream the backend draws from — the scratch blocks, the
+   sweep and the learning blocks all come from it — is cached at any
+   level, except the blocks the reset itself loads. *)
+let test_reset_flushes_calibration_lines () =
+  List.iter
+    (fun (model, level) ->
+      let m = M.create ~noise:M.quiet_noise model in
+      let be = BE.create m { BE.level; slice = 0; set = 0 } in
+      ignore (BE.calibrate be);
+      let fe = FE.create ~reset:(FE.Flush_then (Cq_mbl.Parser.parse "@ @")) be in
+      let assoc = FE.assoc fe in
+      let ops = Option.get (FE.oracle fe).Cq_cache.Oracle.ops in
+      let line_size = model.CM.line_size in
+      let cached addr =
+        List.exists
+          (fun lv ->
+            let slice, set = M.map_addr m lv addr in
+            Array.mem (Some (addr / line_size)) (M.peek_set m lv ~slice ~set))
+          CM.all_levels
+      in
+      let stream = M.congruent_addresses m level ~slice:0 ~set:0 400 in
+      let check what =
+        let reset_lines =
+          List.map (BE.addr_of_block be) (Cq_cache.Block.first assoc)
+        in
+        let stray =
+          List.filter (fun a -> cached a && not (List.mem a reset_lines)) stream
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s %s: %s" model.CM.name (CM.level_to_string level)
+             what)
+          [] stray
+      in
+      ops.Cq_cache.Batch.reset ();
+      check "first flushing reset after calibration";
+      List.iter
+        (fun i -> ignore (ops.Cq_cache.Batch.access (B.of_index i)))
+        [ assoc; assoc + 1; 0; assoc + 2 ];
+      ops.Cq_cache.Batch.reset ();
+      check "a later flushing reset";
+      ignore (BE.calibrate be);
+      ops.Cq_cache.Batch.reset ();
+      check "flushing reset after a recalibration")
+    [ (CM.haswell, CM.L1); (CM.skylake, CM.L1); (CM.skylake, CM.L2) ]
+
 let suite =
   ( "cachequery",
     [
@@ -232,6 +281,8 @@ let suite =
       Alcotest.test_case "repetition denoising" `Quick test_repetitions_denoise;
       Alcotest.test_case "reset sequences" `Quick test_reset_sequences;
       Alcotest.test_case "reset to string" `Quick test_reset_to_string;
+      Alcotest.test_case "flushing reset clears calibration lines" `Quick
+        test_reset_flushes_calibration_lines;
       Alcotest.test_case "toy pipeline: L1" `Quick test_toy_full_pipeline;
       Alcotest.test_case "toy pipeline: L2 New1" `Quick test_toy_l2_new1;
       Alcotest.test_case "toy pipeline: L3 leader New2" `Quick test_toy_l3_leader;

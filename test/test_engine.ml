@@ -93,6 +93,141 @@ let test_machine_checkpoint () =
   restore ();
   Alcotest.(check (list int)) "restore thunk is reusable" first (probe ())
 
+(* Differential test of the journaled checkpoint.  A random program of
+   loads, clflushes, wbinvds (and CAT re-partitions, on a CAT model) is
+   interleaved with nested checkpoints and repeated restores of random
+   live ones.  After every restore the machine must equal a fresh machine
+   of the same seed that replayed only the operations before that
+   checkpoint: the tags of every touched set at every level, the PSEL
+   counter, and the latencies of a fixed probe.  Ending the checkpoints
+   (what a query reset does) must make every earlier checkpoint raise on
+   restore, and a raising restore must leave the state untouched. *)
+type machine_op = Load of int | Clflush of int | Wbinvd | Cat of int
+
+let apply_op m = function
+  | Load a -> ignore (M.load m a)
+  | Clflush a -> M.clflush m a
+  | Wbinvd -> M.wbinvd m
+  | Cat ways -> M.set_cat_ways m ways
+
+let journal_differential ~seed model =
+  let module CM = Cq_hwsim.Cpu_model in
+  let fresh () = M.create ~seed:(Int64.of_int seed) ~noise:M.default_noise model in
+  let m = fresh () in
+  (* Lines that collide in one L1 set, and in leader and follower L3
+     sets, so fills evict, L3 evictions back-invalidate and PSEL moves. *)
+  let l3_sets = [ 0; 512; 768 ] in
+  let pool =
+    Array.of_list
+      (M.congruent_addresses m CM.L1 ~slice:0 ~set:0 12
+      @ List.concat_map
+          (fun set ->
+            M.congruent_addresses m CM.L3 ~slice:0
+              ~set:(set mod model.CM.l3.CM.sets_per_slice)
+              (model.CM.l3.CM.assoc + 4))
+          l3_sets)
+  in
+  let touched =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun level ->
+           List.map
+             (fun a ->
+               let slice, set = M.map_addr m level a in
+               (level, slice, set))
+             (Array.to_list pool))
+         CM.all_levels)
+  in
+  let probe = List.init 6 (fun i -> pool.(i * 3 mod Array.length pool)) in
+  let prng = Cq_util.Prng.of_int (seed * 7919) in
+  let random_op () =
+    let addr () = pool.(Cq_util.Prng.int prng (Array.length pool)) in
+    match Cq_util.Prng.int prng 100 with
+    | n when n < 75 -> Load (addr ())
+    | n when n < 93 -> Clflush (addr ())
+    | n when n < 96 -> Wbinvd
+    | _ when model.CM.supports_cat ->
+        (* the L3 policies need at least two ways *)
+        Cat (2 + Cq_util.Prng.int prng (model.CM.l3.CM.assoc - 1))
+    | _ -> Load (addr ())
+  in
+  let state m =
+    ( List.map (fun (level, slice, set) -> M.peek_set m level ~slice ~set) touched,
+      M.psel m )
+  in
+  let reference log =
+    let r = fresh () in
+    List.iter (apply_op r) (List.rev log);
+    r
+  in
+  let same what log =
+    let r = reference log in
+    Alcotest.(check bool) (what ^ ": sets and PSEL") true (state m = state r);
+    r
+  in
+  let log = ref [] (* operations since creation, newest first *) in
+  let live = ref [] (* (restore, log at the checkpoint), newest first *) in
+  for step = 1 to 400 do
+    match Cq_util.Prng.int prng 100 with
+    | n when n < 12 -> live := (M.checkpoint m, !log) :: !live
+    | n when n < 26 && !live <> [] ->
+        let k = Cq_util.Prng.int prng (List.length !live) in
+        let restore, at = List.nth !live k in
+        restore ();
+        (* Checkpoints newer than the restored one are gone. *)
+        live := List.filteri (fun i _ -> i >= k) !live;
+        log := at;
+        let what = Printf.sprintf "%s step %d" model.CM.name step in
+        let r = same what at in
+        let latencies m = List.map (M.load m) probe in
+        Alcotest.(check (list int)) (what ^ ": probe latencies")
+          (latencies r) (latencies m);
+        (* The thunk is reusable: undo the probe. *)
+        restore ()
+    | n when n < 28 ->
+        M.end_checkpoints m;
+        List.iter
+          (fun (restore, _) ->
+            Alcotest.check_raises "restore after a reset"
+              (Invalid_argument "Cache_level: restoring a checkpoint that has ended")
+              restore)
+          !live;
+        live := [];
+        ignore (same (Printf.sprintf "%s step %d: after failed restores" model.CM.name step) !log)
+    | _ ->
+        let op = random_op () in
+        apply_op m op;
+        log := op :: !log
+  done
+
+let test_journal_matches_replay () =
+  List.iter
+    (fun (seed, model) -> journal_differential ~seed model)
+    [
+      (1, Cq_hwsim.Cpu_model.toy);
+      (2, Cq_hwsim.Cpu_model.toy);
+      (3, Cq_hwsim.Cpu_model.haswell);
+      (4, Cq_hwsim.Cpu_model.skylake);
+    ]
+
+(* The frontend's reset ends every device checkpoint (the Batch.ops
+   contract): restoring one taken before a reset raises. *)
+let test_reset_ends_checkpoints () =
+  let module BE = Cq_cachequery.Backend in
+  let module FE = Cq_cachequery.Frontend in
+  let m = M.create ~noise:M.quiet_noise Cq_hwsim.Cpu_model.toy in
+  let be = BE.create m { BE.level = Cq_hwsim.Cpu_model.L1; slice = 0; set = 0 } in
+  ignore (BE.calibrate be);
+  let ops = Option.get (FE.oracle (FE.create be)).O.ops in
+  ops.Cq_cache.Batch.reset ();
+  let restore = ops.Cq_cache.Batch.checkpoint () in
+  ignore (ops.Cq_cache.Batch.access (B.of_index 5));
+  restore ();
+  ops.Cq_cache.Batch.reset ();
+  Alcotest.check_raises "restore after a reset"
+    (Invalid_argument "Cache_level: restoring a checkpoint that has ended")
+    restore
+
 (* The pool must return results in item order, identical to sequential
    execution, regardless of domain scheduling. *)
 let test_pool_matches_sequential () =
@@ -277,6 +412,10 @@ let suite =
         test_session_matches_replay;
       Alcotest.test_case "machine checkpoint determinism" `Quick
         test_machine_checkpoint;
+      Alcotest.test_case "journaled checkpoint = replay" `Quick
+        test_journal_matches_replay;
+      Alcotest.test_case "reset ends checkpoints" `Quick
+        test_reset_ends_checkpoints;
       Alcotest.test_case "pool = sequential" `Quick test_pool_matches_sequential;
       Alcotest.test_case "pool propagates exceptions" `Quick
         test_pool_propagates_exceptions;

@@ -180,12 +180,17 @@ let hwsim_level_run policy ~fill_touches_policy lines =
     Cq_hwsim.Cache_level.create ~prng:(Prng.of_int 7) Cq_hwsim.Cpu_model.L1 spec
   in
   let step line =
-    match Cq_hwsim.Cache_level.find level ~slice:0 ~set:0 ~line with
-    | Some way ->
-        Cq_hwsim.Cache_level.hit level ~slice:0 ~set:0 ~way;
-        `Hit
-    | None ->
-        `Fill (Cq_hwsim.Cache_level.fill level ~slice:0 ~set:0 ~line ~use_b:false)
+    let way = Cq_hwsim.Cache_level.find level ~slice:0 ~set:0 ~line in
+    if way >= 0 then begin
+      Cq_hwsim.Cache_level.hit level ~slice:0 ~set:0 ~way;
+      `Hit
+    end
+    else
+      match
+        Cq_hwsim.Cache_level.fill level ~slice:0 ~set:0 ~line ~use_b:false
+      with
+      | -1 -> `Fill None
+      | evicted -> `Fill (Some evicted)
   in
   map_in_order step lines
 
