@@ -274,8 +274,12 @@ let learn_core ?(equivalence = default_equivalence)
     match snapshot with
     | None -> ()
     | Some p ->
+        (* The span and [learn.snapshot_write_seconds] both cover the
+           whole capture (trie export, table), encode and write, so
+           together they are what snapshotting adds to a learn. *)
         Cq_util.Trace.with_span ~cat:"learn" "learn.snapshot.write"
         @@ fun () ->
+        let t_snap = Cq_util.Clock.mono () in
         let meta =
           let m =
             match snapshot_meta with
@@ -292,10 +296,7 @@ let learn_core ?(equivalence = default_equivalence)
           }
         in
         let save path =
-          let (), seconds =
-            Cq_util.Clock.time (fun () -> Session.save ~path snap)
-          in
-          Cq_util.Metrics.observe snapshot_write_h seconds;
+          Session.save ~path snap;
           snapshot_path_written := Some path
         in
         (* Bump the cadence trackers before attempting the write: a dead
@@ -321,7 +322,9 @@ let learn_core ?(equivalence = default_equivalence)
               with
               | Cq_util.Atomic_file.Write_error _ | Cq_util.Faults.Injected _
               ->
-                ())))
+                ())));
+        Cq_util.Metrics.observe snapshot_write_h
+          (Cq_util.Clock.mono () -. t_snap)
   in
   let guard () =
     (match probe with

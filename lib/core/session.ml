@@ -4,9 +4,11 @@
    A snapshot carries everything a resumed run needs to reproduce the
    crashed run *exactly*:
 
-   - the membership oracle's prefix-trie contents (every (word, outputs)
-     pair the hardware ever answered) — on resume the trie is preloaded
-     and the learner replays deterministically, with known queries served
+   - the membership oracle's prefix trie (every (word, outputs) pair the
+     hardware ever answered), as {!Cq_learner.Moracle.knowledge}: the
+     output dictionary plus one preorder byte string of child masks and
+     varint output codes — on resume the trie is preloaded and the
+     learner replays deterministically, with known queries served
      locally at zero hardware cost;
    - the L* observation table (E, S, cached rows) — rows are a pure
      function of the oracle, so re-seeding the row cache skips
@@ -15,18 +17,22 @@
      reset sequence) and the backend's calibration state (a resumed run
      must classify latencies exactly like the crashed one).
 
-   File format: a fixed header — magic, one version byte, the MD5 digest
-   of the payload — followed by a [Marshal]ed {!snapshot}.  The digest
-   catches truncation and bit rot before [Marshal.from_string] can
-   misbehave on them; the version byte rejects snapshots from
-   incompatible builds.  Writes go through {!Cq_util.Atomic_file}
+   File format (version 2): a fixed header — magic, one version byte,
+   the MD5 digest of the payload — followed by a [Marshal]ed {!snapshot}.
+   The digest catches truncation and bit rot before [Marshal.from_string]
+   can misbehave on them; the version byte rejects snapshots from
+   incompatible builds before anything is unmarshalled (version 1 held
+   the trie as a list of maximal paths, which must never be read as the
+   byte-string form).  The trie bytes are then checked structurally, so
+   a damaged trie section is a [Corrupt] here, not an exception in the
+   resumed learn.  Writes go through {!Cq_util.Atomic_file}
    (tmp + fsync + rename), so a crash mid-write leaves the previous
    snapshot intact — readers never observe a torn file. *)
 
 exception Corrupt of string
 
 let magic = "CQSNAP"
-let version = 1
+let version = 2
 
 (* magic + version byte + 16-byte MD5 digest *)
 let header_len = String.length magic + 1 + 16
@@ -87,9 +93,12 @@ let decode ~path s =
     corrupt "%s: snapshot digest mismatch (truncated or corrupted payload)"
       path;
   match (Marshal.from_string payload 0 : _ snapshot) with
-  | snap -> snap
   | exception (Failure _ | Invalid_argument _) ->
       corrupt "%s: snapshot payload does not unmarshal" path
+  | snap -> (
+      match Cq_learner.Moracle.check snap.knowledge with
+      | Ok () -> snap
+      | Error m -> corrupt "%s: damaged trie section: %s" path m)
 
 let load ~path =
   match Cq_util.Atomic_file.read_opt ~path with

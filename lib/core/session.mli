@@ -12,8 +12,8 @@
 
 exception Corrupt of string
 (** The file is not a loadable snapshot: missing, truncated, wrong magic,
-    incompatible format version, digest mismatch, or an undecodable
-    payload.  The message says which. *)
+    incompatible format version, digest mismatch, an undecodable payload,
+    or a structurally damaged trie section.  The message says which. *)
 
 val version : int
 (** Current snapshot format version (written into the header; {!load}

@@ -85,33 +85,77 @@ let counting stats t =
    The trie is most of the learner's live set, so its nodes are compact: a
    node's children are an array indexed by input, [n_inputs] wide and
    allocated on the first child, and a leaf's array is empty.  Empty slots
-   hold the trie's [absent] node, which never gets an output. *)
+   hold the trie's [absent] node, which never gets an output.
+
+   Outputs are interned: a node holds the code of its output in the
+   trie's dictionary, so the insert and conflict paths compare ints and a
+   snapshot stores each distinct output once.  Every output the cache
+   hands out is a dictionary entry, in fresh and resumed runs alike, so
+   both runs share output objects the same way. *)
 module Trie = struct
-  type 'o node = {
-    mutable out : 'o option; (* output on the edge leading here *)
-    mutable children : 'o node array; (* by input; [||] for a leaf *)
+  type node = {
+    mutable code : int; (* output on the edge leading here; -1 for none *)
+    mutable children : node array; (* by input; [||] for a leaf *)
   }
 
-  type 'o t = { n_inputs : int; root : 'o node; absent : 'o node }
+  type 'o t = {
+    n_inputs : int;
+    root : node;
+    absent : node;
+    mutable dict : 'o array; (* code -> output; [size] entries in use *)
+    mutable size : int;
+  }
 
-  let leaf () = { out = None; children = [||] }
-  let create n_inputs = { n_inputs; root = leaf (); absent = leaf () }
+  let leaf () = { code = -1; children = [||] }
+
+  let create n_inputs =
+    { n_inputs; root = leaf (); absent = leaf (); dict = [||]; size = 0 }
+
+  (* The code of [o] from dictionary slot [i] on, appending [o] when no
+     entry is physically or structurally equal to it.  A policy has
+     assoc + 1 outputs, so a scan beats hashing.  Top-level, so the
+     per-symbol insert path allocates no closure. *)
+  let rec intern_from t o i =
+    if i = t.size then begin
+      if i = Array.length t.dict then begin
+        let d = Array.make (max 8 (2 * i)) o in
+        Array.blit t.dict 0 d 0 i;
+        t.dict <- d
+      end;
+      t.dict.(i) <- o;
+      t.size <- i + 1;
+      i
+    end
+    else
+      let d = Array.unsafe_get t.dict i in
+      if d == o || d = o then i else intern_from t o (i + 1)
+
+  let intern t o = intern_from t o 0
 
   (* The child of [node] along input [i], or [absent]. *)
   let child t node i =
     if Array.length node.children = 0 then t.absent else node.children.(i)
 
+  (* The dictionary entries along [word]; [Not_found] past the known part. *)
+  let rec outputs_from t node = function
+    | [] -> []
+    | i :: rest ->
+        let c = child t node i in
+        if c.code < 0 then raise Not_found;
+        t.dict.(c.code) :: outputs_from t c rest
+
   let lookup t word =
-    let rec go node = function
-      | [] -> Some []
-      | i :: rest -> (
-          let c = child t node i in
-          match c.out with
-          | None -> None
-          | Some o -> (
-              match go c rest with None -> None | Some os -> Some (o :: os)))
-    in
-    go t.root word
+    match outputs_from t t.root word with
+    | os -> Some os
+    | exception Not_found -> None
+
+  let rec known_from t node = function
+    | [] -> true
+    | i :: rest ->
+        let c = child t node i in
+        c.code >= 0 && known_from t c rest
+
+  let known t word = known_from t t.root word
 
   let add_child t node i =
     let c = child t node i in
@@ -124,68 +168,160 @@ module Trie = struct
       c
     end
 
-  let insert t word outputs =
-    let rec go node word outputs =
-      match (word, outputs) with
-      | [], [] -> ()
-      | i :: wrest, o :: orest ->
-          let child = add_child t node i in
-          (match child.out with
-          | None -> child.out <- Some o
-          | Some o' ->
-              if o' <> o then
-                raise
-                  (Inconsistent
-                     "Moracle: inconsistent outputs for the same input word \
-                      (the system under learning is nondeterministic)"));
-          go child wrest orest
-      | _ -> invalid_arg "Moracle.Trie.insert: length mismatch"
-    in
-    go t.root word outputs
+  (* Insert [outputs] along [word] and return them as dictionary entries.
+     With [force], overwrite the outputs already there — used when
+     arbitration decided a previously cached answer was the corrupt one;
+     without it, a differing output raises [Inconsistent]. *)
+  let rec insert_from ~force t node word outputs =
+    match (word, outputs) with
+    | [], [] -> []
+    | i :: wrest, o :: orest ->
+        let c = add_child t node i in
+        (if c.code < 0 || force then c.code <- intern t o
+         else
+           let d = t.dict.(c.code) in
+           if not (d == o || d = o) then
+             raise
+               (Inconsistent
+                  "Moracle: inconsistent outputs for the same input word (the \
+                   system under learning is nondeterministic)"));
+        t.dict.(c.code) :: insert_from ~force t c wrest orest
+    | _ -> invalid_arg "Moracle.Trie.insert: length mismatch"
 
-  (* Overwrite the outputs along [word] unconditionally — used when
-     arbitration decided a previously cached answer was the corrupt one. *)
-  let insert_force t word outputs =
-    let rec go node word outputs =
-      match (word, outputs) with
-      | [], [] -> ()
-      | i :: wrest, o :: orest ->
-          let child = add_child t node i in
-          child.out <- Some o;
-          go child wrest orest
-      | _ -> invalid_arg "Moracle.Trie.insert_force: length mismatch"
-    in
-    go t.root word outputs
+  let insert t word outputs = insert_from ~force:false t t.root word outputs
+  let insert_force t word outputs = insert_from ~force:true t t.root word outputs
 
-  (* Maximal known paths: the trie is prefix-closed (every non-root node
-     carries an output), so the root-to-leaf words reconstruct the entire
-     trie under [insert_force].  This is the session-snapshot dump; it
-     runs at every snapshot, so a leaf is told by its array's length. *)
-  let export t =
-    let acc = ref [] in
-    let rec go node rev_word rev_out =
-      if Array.length node.children = 0 then begin
-        if rev_word <> [] then
-          acc := (List.rev rev_word, List.rev rev_out) :: !acc
-      end
-      else
-        Array.iteri
-          (fun i child ->
-            match child.out with
-            | Some o -> go child (i :: rev_word) (o :: rev_out)
-            | None -> () (* an empty slot *))
-          node.children
-    in
-    go t.root [] [];
-    !acc
+  (* Dump format, see [knowledge] below. *)
+  let mask_width n_inputs = (n_inputs / 8) + if n_inputs land 7 = 0 then 0 else 1
+
+  let rec add_varint buf n =
+    if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+      add_varint buf (n lsr 7)
+    end
+
+  let rec dump t buf node =
+    let ch = node.children in
+    let n = Array.length ch in
+    if n = 0 then
+      for _ = 1 to mask_width t.n_inputs do
+        Buffer.add_char buf '\000'
+      done
+    else begin
+      let m = ref 0 in
+      for i = 0 to n - 1 do
+        if ch.(i).code >= 0 then m := !m lor (1 lsl (i land 7));
+        if i land 7 = 7 || i = n - 1 then begin
+          Buffer.add_char buf (Char.unsafe_chr !m);
+          m := 0
+        end
+      done;
+      for i = 0 to n - 1 do
+        let c = ch.(i) in
+        if c.code >= 0 then begin
+          add_varint buf c.code;
+          dump t buf c
+        end
+      done
+    end
 end
 
-(* The portable form of a prefix-trie's contents: maximal (word, outputs)
-   paths.  Abstract in the interface; sessions Marshal it into snapshots
-   and feed it back through [preload] on resume. *)
-type 'o knowledge = (int list * 'o list) list
+(* The portable form of a prefix trie: its output dictionary and one
+   preorder byte string.  For each node the string holds a child mask
+   [mask_width n_inputs] bytes wide (bit [i land 7] of byte [i lsr 3] is
+   set when input [i] has a child), then, for each present child in input
+   order, the child's output code as an LEB128 varint followed by the
+   child's own subtree.  Sessions Marshal it into snapshots, which copies
+   the string and the small array without visiting every path. *)
+type 'o knowledge = { n_inputs : int; outputs : 'o array; trie : string }
 
-let knowledge_size k = List.length k
+exception Malformed of string
+
+(* Walk a dump in preorder: [enter h i code] is called for every child
+   edge, [h] being the parent's handle, and returns the child's handle.
+   Returns the number of leaves below the root — the maximal paths.
+   Raises [Malformed] on a mask bit at or above [n_inputs], a code
+   outside the dictionary, or bytes missing or left over.  The walk keeps
+   its own stack, so a hostile dump cannot exhaust the call stack. *)
+let walk k root enter =
+  let s = k.trie and n = k.n_inputs and codes = Array.length k.outputs in
+  let len = String.length s and width = Trie.mask_width n in
+  let pos = ref 0 and leaves = ref 0 in
+  let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt in
+  let mask () =
+    let p = !pos in
+    if p + width > len then malformed "truncated child mask at byte %d" p;
+    if n land 7 <> 0 && Char.code s.[p + width - 1] lsr (n land 7) <> 0 then
+      malformed "child mask at byte %d names an input >= %d" p n;
+    pos := p + width;
+    p
+  in
+  let rec is_leaf p b = b = width || (s.[p + b] = '\000' && is_leaf p (b + 1)) in
+  let rec varint shift acc =
+    if !pos >= len then malformed "truncated output code at byte %d" !pos;
+    let b = Char.code s.[!pos] in
+    incr pos;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 || shift > 56 then acc else varint (shift + 7) acc
+  in
+  let has m i = Char.code s.[m + (i lsr 3)] land (1 lsl (i land 7)) <> 0 in
+  let rec next m i = if i < n && not (has m i) then next m (i + 1) else i in
+  let rec loop = function
+    | [] -> ()
+    | (h, m, i) :: up ->
+        let i = next m i in
+        if i < n then begin
+          let at = !pos in
+          let code = varint 0 0 in
+          if code < 0 || code >= codes then
+            malformed "output code at byte %d outside the %d-entry dictionary"
+              at codes;
+          let c = enter h i code in
+          let cm = mask () in
+          if is_leaf cm 0 then incr leaves;
+          loop ((c, cm, 0) :: (h, m, i + 1) :: up)
+        end
+        else loop up
+  in
+  if n < 1 then malformed "%d inputs" n;
+  loop [ (root, mask (), 0) ];
+  if !pos <> len then malformed "%d bytes after the trie" (len - !pos);
+  !leaves
+
+let check k =
+  match walk k () (fun () _ _ -> ()) with
+  | _ -> Ok ()
+  | exception Malformed m -> Error m
+
+let knowledge_size k =
+  try walk k () (fun () _ _ -> ())
+  with Malformed m -> invalid_arg ("Moracle.knowledge_size: " ^ m)
+
+let export (trie : _ Trie.t) =
+  let buf = Buffer.create 4096 in
+  Trie.dump trie buf trie.root;
+  {
+    n_inputs = trie.n_inputs;
+    outputs = Array.sub trie.dict 0 trie.size;
+    trie = Buffer.contents buf;
+  }
+
+(* Trust the dump — sessions check it at load time — and overwrite
+   overlapping paths.  Codes are remapped through [intern], so a resumed
+   trie adopts the dump's own output objects. *)
+let preload (trie : _ Trie.t) k =
+  if k.n_inputs <> trie.n_inputs then
+    invalid_arg
+      (Printf.sprintf "Moracle.preload: dump has %d inputs, the trie %d"
+         k.n_inputs trie.n_inputs);
+  let remap = Array.map (Trie.intern trie) k.outputs in
+  ignore
+    (walk k trie.root (fun parent i code ->
+         let c = Trie.add_child trie parent i in
+         c.code <- remap.(code);
+         c)
+      : int)
 
 type 'o handle = {
   refresh : int list -> 'o list;
@@ -193,7 +329,7 @@ type 'o handle = {
   preload : 'o knowledge -> unit;
 }
 
-let cached_session ?stats ?(conflict_retries = 0) t =
+let cached_session ?stats ?(conflict_retries = 0) (t : _ t) =
   if conflict_retries < 0 then
     invalid_arg "Moracle.cached: conflict_retries must be >= 0";
   let trie = Trie.create t.n_inputs in
@@ -226,12 +362,9 @@ let cached_session ?stats ?(conflict_retries = 0) t =
         let outputs = t.query w in
         check_length w outputs;
         match Trie.insert trie w outputs with
-        | () -> outputs
+        | interned -> interned
         | exception Inconsistent _ ->
-            if prev = outputs then begin
-              Trie.insert_force trie w outputs;
-              outputs
-            end
+            if prev = outputs then Trie.insert_force trie w outputs
             else go (k + 1) outputs
       end
     in
@@ -253,16 +386,8 @@ let cached_session ?stats ?(conflict_retries = 0) t =
     (match Trie.lookup trie w with
     | Some old when old <> outputs -> note_conflict ()
     | _ -> ());
-    Trie.insert_force trie w outputs;
-    outputs
+    Trie.insert_force trie w outputs
   in
-  (* [preload]: trust the snapshot unconditionally — it was digested at
-     write time, and on resume the trie is empty anyway.  [insert_force]
-     keeps a later entry authoritative if paths overlap. *)
-  let preload knowledge =
-    List.iter (fun (w, outputs) -> Trie.insert_force trie w outputs) knowledge
-  in
-  let export () = Trie.export trie in
   ( {
       t with
       query =
@@ -275,7 +400,7 @@ let cached_session ?stats ?(conflict_retries = 0) t =
             let outputs = t.query w in
             check_length w outputs;
             match Trie.insert trie w outputs with
-            | () -> outputs
+            | interned -> interned
             | exception Inconsistent msg -> arbitrate w outputs msg));
     query_batch =
       (fun ws ->
@@ -287,7 +412,7 @@ let cached_session ?stats ?(conflict_retries = 0) t =
         let order = ref [] in
         List.iter
           (fun w ->
-            if Trie.lookup trie w = None then begin
+            if not (Trie.known trie w) then begin
               let key = Cq_util.Deep.pack w in
               if not (Hashtbl.mem missing key) then begin
                 Hashtbl.replace missing key ();
@@ -302,7 +427,7 @@ let cached_session ?stats ?(conflict_retries = 0) t =
              (fun w outputs ->
                check_length w outputs;
                match Trie.insert trie w outputs with
-               | () -> ()
+               | (_ : _ list) -> ()
                | exception Inconsistent msg -> ignore (arbitrate w outputs msg))
              todo answers);
         List.map
@@ -315,7 +440,11 @@ let cached_session ?stats ?(conflict_retries = 0) t =
             | None -> assert false (* just inserted *))
           ws);
     },
-    { refresh; export; preload } )
+    {
+      refresh;
+      export = (fun () -> export trie);
+      preload = (fun k -> preload trie k);
+    } )
 
 let cached_refresh ?stats ?conflict_retries t =
   let oracle, handle = cached_session ?stats ?conflict_retries t in

@@ -58,7 +58,11 @@ val cached : ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t
     exonerates it (the conflicting run carried a transient measurement
     flip); two fresh runs agreeing with each other outvote the single
     cached execution, whose entry is overwritten.  Conflicts that persist
-    raise {!Inconsistent} — the system looks genuinely nondeterministic. *)
+    raise {!Inconsistent} — the system looks genuinely nondeterministic.
+
+    Outputs are interned: every answer is built from the trie's
+    dictionary, which holds the first object seen for each distinct
+    output, so equal outputs come back as one shared object. *)
 
 val cached_refresh :
   ?stats:stats -> ?conflict_retries:int -> 'o t -> 'o t * (int list -> 'o list)
@@ -70,20 +74,31 @@ val cached_refresh :
     e.g. before trusting a counterexample from conformance testing. *)
 
 type 'o knowledge
-(** A portable dump of a prefix-trie cache's contents (the maximal known
-    (word, outputs) paths).  Marshal-safe: sessions persist it in
-    snapshots and feed it back through [preload] on resume, after which
-    every previously answered query is served locally — the foundation of
-    crash-resumable learning. *)
+(** A portable dump of a prefix-trie cache's contents: the trie's output
+    dictionary (each distinct output once) and the trie itself as one
+    preorder byte string of child masks and varint output codes.
+    Marshal-safe: sessions persist it in snapshots and feed it back
+    through [preload] on resume, after which every previously answered
+    query is served locally — the foundation of crash-resumable
+    learning. *)
+
+val check : 'o knowledge -> (unit, string) result
+(** [Error] names the first structural fault of a dump read from outside:
+    a child-mask bit at or above the input count, an output code outside
+    the dictionary, or a byte string that ends early or runs past the
+    trie.  An [export]ed dump always passes. *)
 
 val knowledge_size : 'o knowledge -> int
-(** Number of maximal paths in the dump. *)
+(** Number of maximal known paths (leaves of the trie).
+    @raise Invalid_argument when {!check} fails. *)
 
 type 'o handle = {
   refresh : int list -> 'o list;  (** as returned by {!cached_refresh} *)
   export : unit -> 'o knowledge;  (** dump the trie's current contents *)
   preload : 'o knowledge -> unit;
-      (** seed the trie from a dump (overwrites overlapping paths) *)
+      (** seed the trie from a dump that passed {!check} (overwrites
+          overlapping paths).  The trie adopts the dump's output objects.
+          @raise Invalid_argument when the dump's input count differs *)
 }
 
 val cached_session :

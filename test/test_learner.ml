@@ -46,6 +46,16 @@ let test_cached_detects_nondeterminism () =
   | _ -> Alcotest.fail "nondeterminism not detected"
   | exception Mo.Inconsistent _ -> ()
 
+(* Answers are built from the trie's output dictionary, whether they come
+   from the system or from the trie: equal outputs are one object. *)
+let test_cached_interns_outputs () =
+  let o = Mo.cached (Mo.make ~n_inputs:2 (List.map (fun i -> Some i))) in
+  match (o.Mo.query [ 0; 1; 0 ], o.Mo.query_batch [ [ 1; 0 ]; [ 0; 0 ] ]) with
+  | [ a; b; c ], [ [ d; e ]; [ f; g ] ] ->
+      Alcotest.(check bool) "one object per distinct output" true
+        (a == c && a == e && a == f && a == g && b == d)
+  | _ -> Alcotest.fail "wrong answer shapes"
+
 let test_characterization_set_separates () =
   let m = Mealy.minimize (Cq_policy.Policy.to_mealy (Cq_policy.Lru.make 3)) in
   let w = Eq.characterization_set m in
@@ -264,6 +274,78 @@ let test_cached_batch_dedup () =
   Alcotest.(check int) "repeat batch served from the trie" 2
     (Cq_util.Metrics.value stats.Mo.queries)
 
+(* --- Prefix-trie dumps ------------------------------------------------ *)
+
+(* A prefix-consistent system whose outputs are [Some h], [h] a rolling
+   hash of the word so far: hundreds of distinct outputs, so dictionary
+   codes past 127 take two varint bytes. *)
+let rolling salt w =
+  let acc = ref salt in
+  List.map
+    (fun i ->
+      acc := ((!acc * 131) + i + 7) mod 1009;
+      Some !acc)
+    w
+
+(* Maximal paths the pre-dictionary way: the distinct non-empty words that
+   are no strict prefix of another. *)
+let maximal_paths words =
+  let rec is_prefix p w =
+    match (p, w) with
+    | [], _ -> true
+    | a :: p', b :: w' -> a = b && is_prefix p' w'
+    | _ -> false
+  in
+  let ws = List.sort_uniq compare (List.filter (( <> ) []) words) in
+  List.length
+    (List.filter
+       (fun w -> not (List.exists (fun w' -> w' <> w && is_prefix w w') ws))
+       ws)
+
+let arb_word_sets =
+  let word n = QCheck.Gen.(list_size (0 -- 10) (0 -- (n - 1))) in
+  QCheck.make
+    ~print:(fun (n, ws, others) ->
+      let pw = Fmt.(brackets (list ~sep:(any ";") int)) in
+      Fmt.str "n_inputs=%d words=%a others=%a" n
+        Fmt.(list ~sep:sp pw) ws Fmt.(list ~sep:sp pw) others)
+    QCheck.Gen.(
+      let* n = 1 -- 17 in
+      let* ws = list_size (1 -- 80) (word n) in
+      let* others = list_size (0 -- 30) (word n) in
+      return (n, ws, others))
+
+let prop_knowledge_round_trip =
+  QCheck.Test.make ~name:"trie dump round-trips" ~count:200 arb_word_sets
+    (fun (n_inputs, words, others) ->
+      (* A cached oracle over [rolling salt] that has answered [ws]. *)
+      let filled salt ws =
+        let stats = Mo.fresh_stats () in
+        let o, h =
+          Mo.cached_session
+            (Mo.counting stats (Mo.make ~n_inputs (rolling salt)))
+        in
+        List.iter (fun w -> ignore (o.Mo.query w)) ws;
+        (o, h, stats)
+      in
+      let _, src, _ = filled 1 words in
+      let k = src.Mo.export () in
+      let bytes k = Marshal.to_string k [ Marshal.No_sharing ] in
+      (* Preload [k], then every word is answered as the dumped system
+         answered it, with no query reaching the (differently salted)
+         system underneath. *)
+      let served (o, h, stats) =
+        h.Mo.preload k;
+        let before = Cq_util.Metrics.value stats.Mo.queries in
+        List.for_all (fun w -> o.Mo.query w = rolling 1 w) words
+        && Cq_util.Metrics.value stats.Mo.queries = before
+      in
+      let ((_, fresh, _) as empty) = filled 2 [] in
+      served empty
+      && bytes (fresh.Mo.export ()) = bytes k
+      && Mo.knowledge_size k = maximal_paths words
+      && served (filled 2 others))
+
 let suite =
   ( "learner",
     [
@@ -286,4 +368,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_wp_equals_w_verdict;
       QCheck_alcotest.to_alcotest prop_canonical_signature_invariant;
       QCheck_alcotest.to_alcotest prop_derive_recovers_witness;
+      QCheck_alcotest.to_alcotest prop_knowledge_round_trip;
+      Alcotest.test_case "cache interns outputs" `Quick test_cached_interns_outputs;
     ] )

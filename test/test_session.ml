@@ -131,6 +131,125 @@ let test_rejects_damage () =
       write_file path good;
       ignore (Session.load ~path : Cq_policy.Types.output Session.snapshot))
 
+(* --- Damaged trie sections -------------------------------------------------- *)
+
+(* The on-disk layout of a snapshot, mirrored so a test can forge files
+   whose digest is right but whose trie bytes are not: [raw_knowledge]
+   has the fields of [Moracle.knowledge] in order, and the header is
+   magic, version byte, MD5 of the payload. *)
+type 'o raw_knowledge = { n_inputs : int; outputs : 'o array; trie : string }
+
+type 'o raw_snapshot = {
+  meta : Session.meta;
+  knowledge : 'o raw_knowledge;
+  table : 'o Cq_learner.Lstar.table_state option;
+}
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let file_of_payload ~version payload =
+  "CQSNAP" ^ String.make 1 (Char.chr version) ^ Digest.string payload ^ payload
+
+let expect_trie_corrupt label path =
+  match (Session.load ~path : Cq_policy.Types.output Session.snapshot) with
+  | _ -> Alcotest.fail (label ^ ": damaged trie section was accepted")
+  | exception Session.Corrupt msg ->
+      if not (contains msg "trie") then
+        Alcotest.fail (label ^ ": rejected for another reason: " ^ msg)
+
+let test_rejects_damaged_trie () =
+  with_temp (fun path ->
+      let snap = sample_snapshot () in
+      let raw : Cq_policy.Types.output raw_knowledge =
+        Marshal.from_string (Marshal.to_string snap.Session.knowledge []) 0
+      in
+      let forge trie =
+        Marshal.to_string
+          {
+            meta = snap.Session.meta;
+            knowledge = { raw with trie };
+            table = snap.Session.table;
+          }
+          []
+      in
+      (* The mirror is faithful: unmodified, it is the real payload. *)
+      Alcotest.(check bool)
+        "forged payload = saved payload" true
+        (forge raw.trie = Marshal.to_string snap []);
+      let load_forged trie =
+        write_file path (file_of_payload ~version:Session.version (forge trie))
+      in
+      let t = raw.trie in
+      let len = String.length t in
+      (* Every truncation ends a subtree early. *)
+      for cut = 0 to len - 1 do
+        load_forged (String.sub t 0 cut);
+        expect_trie_corrupt (Printf.sprintf "truncated to %d bytes" cut) path
+      done;
+      (* Any trailing byte is left over after the root's subtree. *)
+      List.iter
+        (fun c ->
+          load_forged (t ^ String.make 1 c);
+          expect_trie_corrupt "over-extended" path)
+        [ '\000'; '\001'; '\255' ];
+      (* LRU-4 has 5 inputs: bits 5-7 of the root's one-byte mask name
+         no input. *)
+      List.iter
+        (fun bit ->
+          let b = Bytes.of_string t in
+          Bytes.set b 0 (Char.chr (Char.code t.[0] lor (1 lsl bit)));
+          load_forged (Bytes.to_string b);
+          expect_trie_corrupt (Printf.sprintf "mask bit %d" bit) path)
+        [ 5; 6; 7 ];
+      (* The root's first child code, raised past the dictionary. *)
+      let b = Bytes.of_string t in
+      Bytes.set b 1 (Char.chr 0x7f);
+      load_forged (Bytes.to_string b);
+      expect_trie_corrupt "code outside the dictionary" path;
+      (* Every single-bit flip either still decodes or is a [Corrupt] —
+         never an exception from inside the decoder. *)
+      for i = 0 to len - 1 do
+        for bit = 0 to 7 do
+          let b = Bytes.of_string t in
+          Bytes.set b i (Char.chr (Char.code t.[i] lxor (1 lsl bit)));
+          load_forged (Bytes.to_string b);
+          match (Session.load ~path : Cq_policy.Types.output Session.snapshot) with
+          | _ | (exception Session.Corrupt _) -> ()
+        done
+      done;
+      load_forged t;
+      ignore (Session.load ~path : Cq_policy.Types.output Session.snapshot))
+
+(* A version-1 file held the trie as a list of maximal paths.  Its
+   version byte rejects it before the payload is unmarshalled as the
+   current type. *)
+let test_rejects_v1 () =
+  with_temp (fun path ->
+      let v1_knowledge : (int list * Cq_policy.Types.output list) list =
+        [ ([ 0; 1 ], [ None; None ]); ([ 4 ], [ Some 0 ]) ]
+      in
+      let payload =
+        Marshal.to_string
+          ( Session.make_meta ~queries:2 (),
+            v1_knowledge,
+            (None : Cq_policy.Types.output Cq_learner.Lstar.table_state option)
+          )
+          []
+      in
+      write_file path (file_of_payload ~version:1 payload);
+      match (Session.load ~path : Cq_policy.Types.output Session.snapshot) with
+      | _ -> Alcotest.fail "a version-1 snapshot was accepted"
+      | exception Session.Corrupt msg ->
+          Alcotest.(check bool)
+            ("version mismatch named: " ^ msg)
+            true
+            (contains msg "version 1"))
+
 (* --- Crash / resume determinism (simulated oracle) ------------------------ *)
 
 (* Kill a software-simulated learning run with an unclassified exception
@@ -296,6 +415,9 @@ let suite =
       Alcotest.test_case "snapshot round-trip" `Quick test_roundtrip;
       Alcotest.test_case "load_opt on missing file" `Quick test_load_opt_missing;
       Alcotest.test_case "rejects damaged snapshots" `Quick test_rejects_damage;
+      Alcotest.test_case "rejects damaged trie sections" `Quick
+        test_rejects_damaged_trie;
+      Alcotest.test_case "rejects version-1 snapshots" `Quick test_rejects_v1;
       Alcotest.test_case "probe crash + resume (simulated)" `Quick
         test_probe_crash_resume_simulated;
       Alcotest.test_case "kill + resume (Haswell L1)" `Quick
