@@ -386,6 +386,75 @@ let decode_output c code =
     invalid_arg "Mealy.decode_output: bad code";
   c.c_dict.(code)
 
+(* [a] copied into an array twice as long, the new half -1. *)
+let doubled a =
+  let b = Array.make (2 * Array.length a) (-1) in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Partition refinement by one word's responses.  Each position [j] of
+   [states] walks [word] from [states.(j)] down a trie of output codes
+   rooted at its class [classes.(j)]: the leaf it reaches names the pair
+   (class, response), so two positions share a leaf iff they shared a
+   class and emit the same outputs on [word].  A node's children hang
+   off a sibling chain, one link per distinct code seen after it — a
+   handful of cache-line labels, so a step is a short int scan.  All
+   walks have the same length, so every leaf sits at depth [len] and has
+   no children, which frees its [child] slot to hold the leaf's new class
+   id.  New ids are numbered by first appearance along [states]. *)
+let refine_classes c states classes n_classes word =
+  let k = c.c_k and code = c.c_code in
+  let w = Array.of_list word in
+  for p = 0 to Array.length w - 1 do
+    if w.(p) < 0 || w.(p) >= k then bad_input ()
+  done;
+  let len = Array.length w and n = Array.length states in
+  let cap = ref (n_classes + (2 * n) + 1) in
+  let child = ref (Array.make !cap (-1)) in
+  let sibling = ref (Array.make !cap (-1)) in
+  let label = ref (Array.make !cap 0) in
+  let nodes = ref n_classes in
+  for j = 0 to n - 1 do
+    let s = ref states.(j) and node = ref classes.(j) in
+    for p = 0 to len - 1 do
+      let idx = (!s * k) + Array.unsafe_get w p in
+      let o = Array.unsafe_get code idx in
+      let x = ref !child.(!node) in
+      while !x >= 0 && !label.(!x) <> o do
+        x := !sibling.(!x)
+      done;
+      if !x < 0 then begin
+        if !nodes = !cap then begin
+          child := doubled !child;
+          sibling := doubled !sibling;
+          label := doubled !label;
+          cap := 2 * !cap
+        end;
+        x := !nodes;
+        incr nodes;
+        !label.(!x) <- o;
+        !sibling.(!x) <- !child.(!node);
+        !child.(!node) <- !x
+      end;
+      node := !x;
+      s :=
+        match c.c_next with
+        | Narrow b -> Char.code (Bytes.unsafe_get b idx)
+        | Wide a -> Array.unsafe_get a idx
+    done;
+    classes.(j) <- !node
+  done;
+  let dense = !child and fresh = ref 0 in
+  for j = 0 to n - 1 do
+    let leaf = classes.(j) in
+    if dense.(leaf) < 0 then begin
+      dense.(leaf) <- !fresh;
+      incr fresh
+    end;
+    classes.(j) <- dense.(leaf)
+  done;
+  !fresh
+
 (* cq-lint: end hot-loop *)
 
 (* Enumerate the reachable part of an implicit machine given by a step
@@ -520,36 +589,73 @@ let minimize t =
 
 (* Shortest word distinguishing two machines (or two states of the same
    machine), via BFS over the synchronous product.  Returns [None] when the
-   machines are trace-equivalent. *)
+   machines are trace-equivalent.
+
+   A product state (sa, sb) is the int [sa * nb + sb].  The queue is a
+   growing int array of pair indices with a parallel array of parent
+   links ([parent position * k + input]), so no tuple or path list is
+   built per pair; the word is rebuilt from the parent links once, at
+   the end.  Pairs are expanded in queue order and inputs in increasing
+   order, so the word is the length-then-lexicographically first one. *)
+
+(* cq-lint: hot-loop — one product BFS per characterization-set word and
+   per exact equivalence check; no tuple or list per pair. *)
+
 let find_counterexample ?(from_a = None) ?(from_b = None) a b =
   if a.n_inputs <> b.n_inputs then
     invalid_arg "Mealy.find_counterexample: input alphabets differ";
-  let k = a.n_inputs in
-  let start = (Option.value from_a ~default:a.init, Option.value from_b ~default:b.init) in
-  let seen = Hashtbl.create 997 in
-  let queue = Queue.create () in
-  Hashtbl.add seen start (); (* cq-lint: allow hashtbl-add: first insertion into a fresh table *)
-  Queue.add (start, []) queue;
-  let result = ref None in
-  (try
-     while not (Queue.is_empty queue) do
-       let (sa, sb), path = Queue.take queue in
-       for i = 0 to k - 1 do
-         let sa', oa = step a sa i in
-         let sb', ob = step b sb i in
-         if oa <> ob then begin
-           result := Some (List.rev (i :: path));
-           raise Exit
-         end;
-         let st = (sa', sb') in
-         if not (Hashtbl.mem seen st) then begin
-           Hashtbl.add seen st (); (* cq-lint: allow hashtbl-add: guarded by the mem test above *)
-           Queue.add (st, i :: path) queue
-         end
-       done
-     done
-   with Exit -> ());
-  !result
+  let k = a.n_inputs and nb = b.n_states in
+  let sa0 = Option.value from_a ~default:a.init in
+  let sb0 = Option.value from_b ~default:b.init in
+  if sa0 < 0 || sa0 >= a.n_states || sb0 < 0 || sb0 >= nb then
+    invalid_arg "Mealy.find_counterexample: start state out of range";
+  let seen : (int, unit) Hashtbl.t = Hashtbl.create 997 in
+  Hashtbl.replace seen ((sa0 * nb) + sb0) ();
+  let queue = ref (Array.make 64 0) and link = ref (Array.make 64 (-1)) in
+  !queue.(0) <- (sa0 * nb) + sb0;
+  let head = ref 0 and tail = ref 1 in
+  (* Position of the pair whose successor disagreed, and the input. *)
+  let hit = ref (-1) and hit_input = ref 0 in
+  while !hit < 0 && !head < !tail do
+    let pair = !queue.(!head) in
+    let sa = pair / nb and sb = pair mod nb in
+    let na = a.next.(sa) and oa = a.out.(sa) in
+    let nb' = b.next.(sb) and ob = b.out.(sb) in
+    let i = ref 0 in
+    while !hit < 0 && !i < k do
+      if oa.(!i) <> ob.(!i) then begin
+        hit := !head;
+        hit_input := !i
+      end
+      else begin
+        let pair' = (na.(!i) * nb) + nb'.(!i) in
+        if not (Hashtbl.mem seen pair') then begin
+          Hashtbl.replace seen pair' ();
+          if !tail = Array.length !queue then begin
+            queue := doubled !queue;
+            link := doubled !link
+          end;
+          !queue.(!tail) <- pair';
+          !link.(!tail) <- (!head * k) + !i;
+          incr tail
+        end;
+        incr i
+      end
+    done;
+    incr head
+  done;
+  if !hit < 0 then None
+  else begin
+    let word = ref [ !hit_input ] and j = ref !hit in
+    while !j > 0 do
+      let l = !link.(!j) in
+      word := (l mod k) :: !word;
+      j := l / k
+    done;
+    Some !word
+  end
+
+(* cq-lint: end hot-loop *)
 
 let equivalent a b = Option.is_none (find_counterexample a b)
 

@@ -92,6 +92,18 @@ val first_disagreement : 'o compiled -> int list -> 'o list -> int option
 (** Index of the first position where the machine's output differs from
     [expected] (or where one sequence ends early), [None] if none. *)
 
+val refine_classes :
+  'o compiled -> int array -> int array -> int -> int list -> int
+(** [refine_classes c states classes n word] splits a partition of the
+    positions of [states] by their responses to [word].  On entry
+    [classes.(j)] in [0, n) is the class of position [j]; on return two
+    positions share a class iff they shared one before and states
+    [states.(j)] emit the same outputs on [word].  New classes are
+    numbered by first appearance along [states], so the first member of
+    each class is its smallest position.  Updates [classes] in place and
+    returns the new class count.  Raises [Invalid_argument] when [word]
+    holds an input out of range. *)
+
 val compiled_state_after : 'o compiled -> int list -> int
 val compiled_state_after_from : 'o compiled -> int -> int list -> int
 val compiled_run : 'o compiled -> int list -> 'o list
@@ -146,8 +158,11 @@ val minimize : 'o t -> 'o t
 
 val find_counterexample :
   ?from_a:int option -> ?from_b:int option -> 'o t -> 'o t -> int list option
-(** Shortest input word on which the two machines produce different outputs,
-    or [None] when trace-equivalent. *)
+(** Shortest input word on which the two machines produce different
+    outputs, or [None] when trace-equivalent; among shortest words, the
+    lexicographically first.  [from_a]/[from_b] start the walk in other
+    states than the initial ones (raises [Invalid_argument] when out of
+    range). *)
 
 val equivalent : 'o t -> 'o t -> bool
 val canonicalize : 'o t -> 'o t

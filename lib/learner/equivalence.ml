@@ -12,48 +12,122 @@
 
 type 'o t = 'o Cq_automata.Mealy.t -> int list option
 
-(* Characterization set: a set of input words separating every pair of
-   states of [m].  Built incrementally: while two states are unseparated,
-   find a shortest distinguishing word via product BFS and add it. *)
-let characterization_set m =
-  let n = Cq_automata.Mealy.n_states m in
-  let w = ref [] in
-  let signature s =
-    List.map (fun word -> Cq_automata.Mealy.run_from m s word) !w
-  in
-  (* Pairs of states no input word separates.  An honest L* hypothesis has
-     none (rows are distinct), but a transient measurement flip can corrupt
-     a table cell into distinguishing two rows whose machine states are
-     equivalent.  Aborting here would kill the whole learn; instead leave
-     such pairs unseparated — the conformance suite built from the partial
-     set still exercises the corrupt hypothesis and surfaces a
-     counterexample, which lets the learner repair its table. *)
-  let unseparable : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let finished = ref false in
-  while not !finished do
-    let groups : ('a, int) Hashtbl.t = Hashtbl.create 97 in
-    let clash = ref None in
-    (* Find two states with equal signatures (ignoring unseparable pairs). *)
-    let s = ref 0 in
-    while !clash = None && !s < n do
-      let sg = Cq_util.Deep.pack (signature !s) in
-      (match Hashtbl.find_opt groups sg with
-      | Some s' ->
-          if not (Hashtbl.mem unseparable (s', !s)) then clash := Some (s', !s)
-      | None -> Hashtbl.add groups sg !s); (* cq-lint: allow hashtbl-add: find_opt miss *)
-      incr s
-    done;
-    match !clash with
-    | None -> finished := true
-    | Some (p, q) -> (
-        match
-          Cq_automata.Mealy.find_counterexample ~from_a:(Some p)
-            ~from_b:(Some q) m m
-        with
-        | Some word -> w := word :: !w
-        | None -> Hashtbl.replace unseparable (p, q) ())
+(* --- Refinement core ----------------------------------------------------
+
+   W and the Wp identification sets are both questions about one
+   partition of a list of states ([states], in order) refined word by
+   word: two states share a class while every word added so far gets the
+   same response from both.  [Mealy.refine_classes] splits the classes by
+   one word over the compiled hypothesis's flat tables, so a round costs
+   |W| walks per state instead of re-running every state's whole
+   signature as lists for each added word. *)
+
+(* cq-lint: hot-loop — the refinement loops run once per W word per
+   conformance round; per-state allocation is a bug. *)
+
+(* Separating words for [states] of [m]: while some state shares a class
+   with an earlier one, add a shortest word telling the first member of
+   its class from it (product BFS) and split.  Classes are numbered by
+   first appearance, so [first.(cls)] is the class's smallest position and
+   a scan from position 0 meets pairs in the order the signature table of
+   the list-based construction did.  Splitting never moves a state below
+   the scan cursor into conflict (its class only loses members behind
+   it), so the scan resumes where it stopped.
+
+   A pair no word separates is left unseparated.  An honest L* hypothesis
+   has none (rows are distinct), but a transient measurement flip can
+   corrupt a table cell into distinguishing two rows whose machine states
+   are equivalent.  Aborting here would kill the whole learn; instead the
+   conformance suite built from the partial set still exercises the
+   corrupt hypothesis and surfaces a counterexample, which lets the
+   learner repair its table.  Such a pair keeps its class forever, so the
+   cursor steps past it once and never meets it again.
+
+   Returns W newest word first. *)
+let separate m c states =
+  let n = Array.length states in
+  let cls = Array.make n 0 and first = Array.make (max n 1) 0 in
+  let n_cls = ref 1 and w = ref [] and pos = ref 0 in
+  while !pos < n do
+    let f = first.(cls.(!pos)) in
+    if f = !pos then incr pos
+    else
+      match
+        Cq_automata.Mealy.find_counterexample ~from_a:(Some states.(f))
+          ~from_b:(Some states.(!pos)) m m
+      with
+      | None -> incr pos
+      | Some word ->
+          w := word :: !w;
+          n_cls := Cq_automata.Mealy.refine_classes c states cls !n_cls word;
+          for j = n - 1 downto 0 do
+            first.(cls.(j)) <- j
+          done
   done;
   !w
+
+(* Identification sets of [states] against each other: for each state,
+   the words of [w_set] (in order) that split off part of what was still
+   confusable with it.  What is still confusable with a state after a
+   prefix of [w_set] is exactly the rest of its class in the partition
+   refined by that prefix, so the word is chosen for every state whose
+   class shrinks.  States that survive every word are genuinely
+   equivalent in a corrupt (non-minimal) hypothesis — see [separate] —
+   and no identification word can help.  Result by position in
+   [states]. *)
+let identify c states w_set =
+  let n = Array.length states in
+  let cls = Array.make n 0 and size = Array.make n n in
+  let count = Array.make (max n 1) 0 in
+  let chosen = Array.make n [] in
+  let n_cls = ref 1 in
+  let rec go = function
+    | [] -> ()
+    | _ when !n_cls >= n -> ()
+    | word :: rest ->
+        n_cls := Cq_automata.Mealy.refine_classes c states cls !n_cls word;
+        Array.fill count 0 !n_cls 0;
+        for j = 0 to n - 1 do
+          count.(cls.(j)) <- count.(cls.(j)) + 1
+        done;
+        for j = 0 to n - 1 do
+          let now = count.(cls.(j)) in
+          if now < size.(j) then begin
+            chosen.(j) <- word :: chosen.(j);
+            size.(j) <- now
+          end
+        done;
+        go rest
+  in
+  go w_set;
+  for j = 0 to n - 1 do
+    (* cq-lint: allow hot-loop-alloc — reverses each result once *)
+    chosen.(j) <- List.rev chosen.(j)
+  done;
+  chosen
+
+(* cq-lint: end hot-loop *)
+
+let all_states m = Array.init (Cq_automata.Mealy.n_states m) Fun.id
+
+(* Characterization set: a set of input words separating every pair of
+   separable states of [m]. *)
+let characterization_set m =
+  separate m (Cq_automata.Mealy.compile m) (all_states m)
+
+(* For each state, a minimal-ish subset of W distinguishing it from every
+   other state: greedily pick words that split off the remaining
+   confusable states. *)
+let identification_sets m w_set =
+  identify (Cq_automata.Mealy.compile m) (all_states m) w_set
+
+(* The same two constructions restricted to the states of [subset]: the
+   representative states of a quotient hypothesis. *)
+let characterization_set_on m subset =
+  separate m (Cq_automata.Mealy.compile m) (Array.of_list subset)
+
+let identification_sets_on m subset w_set =
+  identify (Cq_automata.Mealy.compile m) (Array.of_list subset) w_set
 
 (* All input words of length [len], lexicographic. *)
 let words_of_length n_inputs len =
@@ -114,37 +188,13 @@ let w_method ?(depth = 1) (oracle : 'o Moracle.t) : 'o t =
    of W sufficient to tell s apart from every other state.  Same
    (|H|+k)-completeness as the W-method, usually far fewer symbols. *)
 
-(* For each state, a minimal-ish subset of W distinguishing it from every
-   other state: greedily pick words that split off the remaining
-   confusable states. *)
-let identification_sets m w_set =
-  let n = Cq_automata.Mealy.n_states m in
-  let response s w = Cq_automata.Mealy.run_from m s w in
-  Array.init n (fun s ->
-      let confusable = ref (List.filter (fun t -> t <> s) (List.init n Fun.id)) in
-      let chosen = ref [] in
-      List.iter
-        (fun w ->
-          if !confusable <> [] then begin
-            let rs = response s w in
-            let still = List.filter (fun t -> response t w = rs) !confusable in
-            if List.length still < List.length !confusable then begin
-              chosen := w :: !chosen;
-              confusable := still
-            end
-          end)
-        w_set;
-      (* W separates every separable pair; states that survive are
-         genuinely equivalent in a corrupt (non-minimal) hypothesis — see
-         [characterization_set] — and no identification word can help. *)
-      List.rev !chosen)
-
 let wp_method_suite ~depth h =
   let n_inputs = Cq_automata.Mealy.n_inputs h in
   let access = Cq_automata.Mealy.access_sequences h in
-  let w_set = characterization_set h in
+  let c = Cq_automata.Mealy.compile h and all = all_states h in
+  let w_set = separate h c all in
   let w_all = [] :: w_set in
-  let wp = identification_sets h w_set in
+  let wp = identify c all w_set in
   let middles = words_up_to n_inputs depth in
   let states = List.init (Cq_automata.Mealy.n_states h) (fun s -> s) in
   let phase1 =
@@ -175,41 +225,6 @@ let wp_method_suite ~depth h =
 
 (* --- Focused suite for quotient-learned hypotheses ---------------------- *)
 
-(* Shortest distinguishing words for the pairs of [subset] only — the
-   representative states of a quotient hypothesis.  Same tolerance for
-   unseparable pairs as [characterization_set]. *)
-let characterization_set_on m subset =
-  let w = ref [] in
-  let signature s =
-    List.map (fun word -> Cq_automata.Mealy.run_from m s word) !w
-  in
-  let unseparable : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let finished = ref false in
-  while not !finished do
-    let groups : ('a, int) Hashtbl.t = Hashtbl.create 97 in
-    let clash = ref None in
-    List.iter
-      (fun s ->
-        if !clash = None then begin
-          let sg = Cq_util.Deep.pack (signature s) in
-          match Hashtbl.find_opt groups sg with
-          | Some s' ->
-              if not (Hashtbl.mem unseparable (s', s)) then clash := Some (s', s)
-          | None -> Hashtbl.add groups sg s (* cq-lint: allow hashtbl-add: find_opt miss *)
-        end)
-      subset;
-    match !clash with
-    | None -> finished := true
-    | Some (p, q) -> (
-        match
-          Cq_automata.Mealy.find_counterexample ~from_a:(Some p)
-            ~from_b:(Some q) m m
-        with
-        | Some word -> w := word :: !w
-        | None -> Hashtbl.replace unseparable (p, q) ())
-  done;
-  !w
-
 (* Conformance suite for a quotient-learned hypothesis.  A full Wp suite
    over the unfolded machine defeats the point of the quotient: its cost
    scales with the |assoc|!-sized orbit closure, and [identification_sets]
@@ -237,37 +252,17 @@ let wp_quotient_suite ~depth ~is_rep ~sweep h =
   let states = List.init n Fun.id in
   let rep_states = List.filter is_rep states in
   let aliased = List.filter (fun s -> not (is_rep s)) states in
-  let w_set = sweep :: characterization_set_on h rep_states in
+  let reps = Array.of_list rep_states in
+  let c = Cq_automata.Mealy.compile h in
+  let w_set = sweep :: separate h c reps in
   let w_all = [] :: w_set in
   (* Per-representative identification sets (the "p" of Wp): the subset
      of W a given representative actually needs to be told apart from
      the other representatives.  Transitions landing on an aliased state
      are identified by the sweep alone — it fingerprints the state's
      frame, which is exactly what the alias asserted. *)
-  let wp =
-    let tbl = Hashtbl.create 64 in
-    let response s w = Cq_automata.Mealy.run_from h s w in
-    List.iter
-      (fun s ->
-        let confusable = ref (List.filter (fun t -> t <> s) rep_states) in
-        let chosen = ref [] in
-        List.iter
-          (fun w ->
-            if !confusable <> [] then begin
-              let rs = response s w in
-              let still =
-                List.filter (fun t -> response t w = rs) !confusable
-              in
-              if List.length still < List.length !confusable then begin
-                chosen := w :: !chosen;
-                confusable := still
-              end
-            end)
-          w_set;
-        Hashtbl.replace tbl s (List.rev !chosen))
-      rep_states;
-    tbl
-  in
+  let wp = Array.make n [] in
+  Array.iteri (fun j ws -> wp.(reps.(j)) <- ws) (identify c reps w_set);
   let middles = words_up_to n_inputs depth in
   let phase1 =
     List.to_seq rep_states
@@ -286,9 +281,7 @@ let wp_quotient_suite ~depth ~is_rep ~sweep h =
                       let reached = Cq_automata.Mealy.state_after h prefix in
                       let ws =
                         if is_rep reached then
-                          match Hashtbl.find_opt wp reached with
-                          | Some [] | None -> [ [] ]
-                          | Some ws -> ws
+                          match wp.(reached) with [] -> [ [] ] | ws -> ws
                         else [ sweep ]
                       in
                       List.to_seq ws |> Seq.map (fun w -> prefix @ w)))

@@ -11,8 +11,11 @@ type 'o t = 'o Cq_automata.Mealy.t -> int list option
     [None] when no disagreement is found. *)
 
 val characterization_set : 'o Cq_automata.Mealy.t -> int list list
-(** A set of input words separating every pair of states of a minimal
-    machine.  Raises [Invalid_argument] on non-minimal machines. *)
+(** A set of input words separating every pair of separable states,
+    newest word first: while some state has the response signature of
+    an earlier one, a shortest word separating the pair (product BFS) is
+    added.  States no word separates (a non-minimal machine) are left
+    together rather than raising. *)
 
 val words_of_length : int -> int -> int list Seq.t
 (** [words_of_length n_inputs len]: all input words of length [len],
@@ -35,6 +38,18 @@ val identification_sets :
   'o Cq_automata.Mealy.t -> int list list -> int list list array
 (** Per-state identification sets: for each state, a subset of the given
     characterization set distinguishing it from every other state. *)
+
+val characterization_set_on :
+  'o Cq_automata.Mealy.t -> int list -> int list list
+(** [characterization_set_on m subset]: {!characterization_set} for the
+    pairs of states of [subset] only (in that order), the representative
+    states of a quotient hypothesis. *)
+
+val identification_sets_on :
+  'o Cq_automata.Mealy.t -> int list -> int list list -> int list list array
+(** [identification_sets_on m subset w_set]: {!identification_sets}
+    among the states of [subset] only, indexed by position in
+    [subset]. *)
 
 val wp_method_suite : depth:int -> 'o Cq_automata.Mealy.t -> int list Seq.t
 (** The Wp-method suite [Fujiwara et al. 1991] — the suite the paper's

@@ -102,11 +102,24 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
   let suffixes_added = ref 0 in
   let rounds = ref 0 in
 
+  (* Table cells are interned: a learn fills hundreds of thousands of
+     cells with a few dozen distinct output words (44 for LRU-6), so the
+     row cache holds one list per distinct cell value instead of one per
+     cell.  Rows still compare structurally. *)
+  let cells = Hashtbl.create 64 in
+  let cell c =
+    let key = Cq_util.Deep.pack c in
+    match Hashtbl.find_opt cells key with
+    | Some c -> c
+    | None ->
+        Hashtbl.add cells key c; (* cq-lint: allow hashtbl-add: find_opt miss *)
+        c
+  in
   (* The output word of suffix [e] after access word [u]. *)
   let suffix_outputs u e =
     let outputs = oracle.Moracle.query (u @ e) in
     let drop = List.length u in
-    List.filteri (fun i _ -> i >= drop) outputs
+    cell (List.filteri (fun i _ -> i >= drop) outputs)
   in
   (* Row cache: rows of the same word are requested many times (closure
      checks, hypothesis construction).  E only ever grows by appending, so
@@ -138,6 +151,7 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
       when (not (Hashtbl.mem row_cache key)) && Hashtbl.length row_cache >= n
       ->
         Hashtbl.reset row_cache;
+        Hashtbl.reset cells;
         incr row_cache_overflows
     | _ -> ());
     Hashtbl.replace row_cache key r
@@ -205,7 +219,7 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
           let cols =
             List.filteri (fun i _ -> i >= have) !suffixes
             |> List.map (fun _ ->
-                   List.filteri (fun i _ -> i >= drop) (take ()))
+                   cell (List.filteri (fun i _ -> i >= drop) (take ())))
           in
           let existing =
             match Hashtbl.find_opt row_cache key with
@@ -429,6 +443,23 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
       old
   in
 
+  (* The representative each one-step extension's row classified to, at
+     [rep * k + input], recorded by [close] as it classifies (-1 for an
+     alias edge).  [close] re-classifies every extension against the
+     current E, so after it the record is the closed table's transition
+     function and direct-mode [build_hypothesis] reads it off instead of
+     re-hashing every extension row. *)
+  let ext_target = ref (Array.make (4 * k) (-1)) in
+  let record_target t i target =
+    let idx = (t * k) + i in
+    if idx >= Array.length !ext_target then begin
+      let a = Array.make (2 * (idx + 1)) (-1) in
+      Array.blit !ext_target 0 a 0 (Array.length !ext_target);
+      ext_target := a
+    end;
+    !ext_target.(idx) <- target
+  in
+
   (* Close the table: every one-step extension of a representative must have
      the row of some representative.  A single pass over the growing
      representative array suffices: appended representatives are themselves
@@ -452,17 +483,20 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
         for i = 0 to k - 1 do
           let r = row (u @ [ i ]) in
           let key = Cq_util.Deep.pack r in
-          if
-            (not (Hashtbl.mem rep_rows key))
-            && not (Hashtbl.mem alias_rows key)
-          then begin
-            match try_alias (u @ [ i ]) r with
-            | Some (t, p) ->
-                (* cq-lint: allow hashtbl-add: guarded by the mem test above *)
-                Hashtbl.add alias_rows key (t, p);
-                alias_log := (key, u @ [ i ], r) :: !alias_log
-            | None -> ignore (add_rep (u @ [ i ]) r)
-          end
+          let target =
+            match Hashtbl.find_opt rep_rows key with
+            | Some t -> t
+            | None when Hashtbl.mem alias_rows key -> -1
+            | None -> (
+                match try_alias (u @ [ i ]) r with
+                | Some (t, p) ->
+                    (* cq-lint: allow hashtbl-add: guarded by the mem tests above *)
+                    Hashtbl.add alias_rows key (t, p);
+                    alias_log := (key, u @ [ i ], r) :: !alias_log;
+                    -1
+                | None -> add_rep (u @ [ i ]) r)
+          in
+          record_target !s i target
         done;
         incr s
       done
@@ -500,12 +534,10 @@ let learn ?(max_states = 1_000_000) ?max_row_cache ?expose_table ?seed_rows
               | _ -> assert false))
     in
     for s = 0 to n - 1 do
-      let u = !reps.(s) in
       for i = 0 to k - 1 do
-        let r = row (u @ [ i ]) in
-        match Hashtbl.find_opt rep_rows (Cq_util.Deep.pack r) with
-        | Some s' -> next.(s).(i) <- s'
-        | None -> assert false (* table is closed *)
+        let s' = !ext_target.((s * k) + i) in
+        assert (s' >= 0) (* table is closed *);
+        next.(s).(i) <- s'
       done
     done;
     hyp_access := !reps;

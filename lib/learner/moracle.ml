@@ -35,9 +35,11 @@ type stats = {
   symbols : Cq_util.Metrics.counter; (* total input symbols of those *)
   cache_hits : Cq_util.Metrics.counter; (* answered by the prefix cache *)
   batches : Cq_util.Metrics.counter; (* query_batch calls reaching it *)
+  batched : Cq_util.Metrics.counter; (* queries arriving inside a batch *)
   conflicts : Cq_util.Metrics.counter; (* prefix-cache conflicts arbitrated *)
   latency : Cq_util.Metrics.histogram;
-      (* seconds per membership query/batch reaching the system *)
+      (* seconds per call reaching the system, single query or batch:
+         count = queries - batched + batches *)
 }
 
 let fresh_stats ?registry ?(prefix = "member") () =
@@ -50,6 +52,7 @@ let fresh_stats ?registry ?(prefix = "member") () =
     symbols = c "symbols";
     cache_hits = c "cache_hits";
     batches = c "batches";
+    batched = c "batched";
     conflicts = c "conflicts";
     (* 1 µs .. ~1 h in factor-2 buckets *)
     latency =
@@ -69,8 +72,10 @@ let counting stats t =
         r);
     query_batch =
       (fun ws ->
+        let n = List.length ws in
         Cq_util.Metrics.incr stats.batches;
-        Cq_util.Metrics.add stats.queries (List.length ws);
+        Cq_util.Metrics.add stats.batched n;
+        Cq_util.Metrics.add stats.queries n;
         Cq_util.Metrics.add stats.symbols
           (List.fold_left (fun a w -> a + List.length w) 0 ws);
         let r, seconds = Cq_util.Clock.time (fun () -> t.query_batch ws) in
@@ -82,10 +87,11 @@ let counting stats t =
    prefix are a prefix of the outputs), so a trie lets us answer any query
    whose whole path is known, and to extend partial knowledge cheaply.
 
-   The trie is most of the learner's live set, so its nodes are compact: a
-   node's children are an array indexed by input, [n_inputs] wide and
-   allocated on the first child, and a leaf's array is empty.  Empty slots
-   hold the trie's [absent] node, which never gets an output.
+   The trie is most of the learner's live set (1.9M nodes for LRU-6), so
+   it holds no per-node objects: nodes are ints indexing int cells in
+   fixed-size chunks, and only a node with two or more children has an
+   input-wide child block.  The major GC marks a few hundred arrays
+   instead of millions of blocks.
 
    Outputs are interned: a node holds the code of its output in the
    trie's dictionary, so the insert and conflict paths compare ints and a
@@ -93,23 +99,90 @@ let counting stats t =
    hands out is a dictionary entry, in fresh and resumed runs alike, so
    both runs share output objects the same way. *)
 module Trie = struct
-  type node = {
-    mutable code : int; (* output on the edge leading here; -1 for none *)
-    mutable children : node array; (* by input; [||] for a leaf *)
-  }
+  (* Node [n] is an int with two int cells, at [2 * (n land chunk_mask)]
+     in chunk [n lsr chunk_bits] of [nodes]:
+     - its tag, [(code + 1) lsl (label_bits + 1) lor label lsl 1 lor fan]:
+       [label] is the input on the edge leading here, [code] its output's
+       dictionary code (-1 for none), and [fan] tells what the link is;
+     - its link: 0 for no children, else its only child when [fan] is 0,
+       else a block of [n_inputs] cells in [blocks] holding its child
+       along each input (0 for none).
+     Node 0 is the root, which is nobody's child and has no output, and
+     block 0 is never used, so 0 can mean "none" everywhere: [code t 0]
+     is -1.  Most nodes have at most one child and cost two words; a
+     node gets a block when its second child arrives.  Fixed-size chunks
+     let the trie grow without ever copying what it holds. *)
+  let chunk_bits = 12
+  let chunk_mask = (1 lsl chunk_bits) - 1
 
   type 'o t = {
     n_inputs : int;
-    root : node;
-    absent : node;
+    label_bits : int;
+    mutable nodes : int array array;
+    mutable n_nodes : int;
+    mutable blocks : int array array;
+    mutable n_blocks : int;
     mutable dict : 'o array; (* code -> output; [size] entries in use *)
     mutable size : int;
   }
 
-  let leaf () = { code = -1; children = [||] }
+  let root = 0
+
+  (* Bits to store a label below [n]. *)
+  let rec bits_for n = if n <= 1 then 0 else 1 + bits_for ((n + 1) / 2)
 
   let create n_inputs =
-    { n_inputs; root = leaf (); absent = leaf (); dict = [||]; size = 0 }
+    {
+      n_inputs;
+      label_bits = bits_for n_inputs;
+      nodes = [| Array.make (2 lsl chunk_bits) 0 |];
+      n_nodes = 1;
+      blocks = [||];
+      n_blocks = 1;
+      dict = [||];
+      size = 0;
+    }
+
+  let tag t n =
+    Array.unsafe_get
+      (Array.unsafe_get t.nodes (n lsr chunk_bits))
+      (2 * (n land chunk_mask))
+
+  let link t n =
+    Array.unsafe_get
+      (Array.unsafe_get t.nodes (n lsr chunk_bits))
+      ((2 * (n land chunk_mask)) + 1)
+
+  let set_tag t n v =
+    Array.unsafe_set
+      (Array.unsafe_get t.nodes (n lsr chunk_bits))
+      (2 * (n land chunk_mask))
+      v
+
+  let set_link t n v =
+    Array.unsafe_set
+      (Array.unsafe_get t.nodes (n lsr chunk_bits))
+      ((2 * (n land chunk_mask)) + 1)
+      v
+
+  let slot t b i =
+    Array.unsafe_get
+      (Array.unsafe_get t.blocks (b lsr chunk_bits))
+      ((t.n_inputs * (b land chunk_mask)) + i)
+
+  let set_slot t b i v =
+    Array.unsafe_set
+      (Array.unsafe_get t.blocks (b lsr chunk_bits))
+      ((t.n_inputs * (b land chunk_mask)) + i)
+      v
+
+  let code t n = (tag t n lsr (t.label_bits + 1)) - 1
+  let label t n = (tag t n lsr 1) land ((1 lsl t.label_bits) - 1)
+  let fanned t n = tag t n land 1 = 1
+
+  let set_code t n code =
+    let low = (1 lsl (t.label_bits + 1)) - 1 in
+    set_tag t n (((code + 1) lsl (t.label_bits + 1)) lor (tag t n land low))
 
   (* The code of [o] from dictionary slot [i] on, appending [o] when no
      entry is physically or structurally equal to it.  A policy has
@@ -132,64 +205,119 @@ module Trie = struct
 
   let intern t o = intern_from t o 0
 
-  (* The child of [node] along input [i], or [absent]. *)
-  let child t node i =
-    if Array.length node.children = 0 then t.absent else node.children.(i)
+  (* The child of [n] along input [i], or 0. *)
+  let child t n i =
+    let l = link t n in
+    if l = 0 || i < 0 || i >= t.n_inputs then 0
+    else if fanned t n then slot t l i
+    else if label t l = i then l
+    else 0
 
   (* The dictionary entries along [word]; [Not_found] past the known part. *)
-  let rec outputs_from t node = function
+  let rec outputs_from t n = function
     | [] -> []
     | i :: rest ->
-        let c = child t node i in
-        if c.code < 0 then raise Not_found;
-        t.dict.(c.code) :: outputs_from t c rest
+        let c = child t n i in
+        let code = code t c in
+        if code < 0 then raise Not_found;
+        t.dict.(code) :: outputs_from t c rest
 
   let lookup t word =
-    match outputs_from t t.root word with
+    match outputs_from t root word with
     | os -> Some os
     | exception Not_found -> None
 
-  let rec known_from t node = function
+  let rec known_from t n = function
     | [] -> true
     | i :: rest ->
-        let c = child t node i in
-        c.code >= 0 && known_from t c rest
+        let c = child t n i in
+        code t c >= 0 && known_from t c rest
 
-  let known t word = known_from t t.root word
+  let known t word = known_from t root word
 
-  let add_child t node i =
-    let c = child t node i in
-    if c != t.absent then c
+  (* [chunks] with room for chunk [k], which is allocated [width] cells
+     wide if missing. *)
+  let with_chunk chunks k width =
+    let chunks =
+      if k < Array.length chunks then chunks
+      else begin
+        let spine = Array.make (max 1 (2 * k)) [||] in
+        Array.blit chunks 0 spine 0 (Array.length chunks);
+        spine
+      end
+    in
+    if Array.length chunks.(k) = 0 then chunks.(k) <- Array.make width 0;
+    chunks
+
+  (* A fresh childless node without an output, along input [label]. *)
+  let new_node t label =
+    let n = t.n_nodes in
+    t.nodes <- with_chunk t.nodes (n lsr chunk_bits) (2 lsl chunk_bits);
+    t.n_nodes <- n + 1;
+    set_tag t n (label lsl 1);
+    set_link t n 0;
+    n
+
+  let new_block t =
+    let b = t.n_blocks in
+    t.blocks <-
+      with_chunk t.blocks (b lsr chunk_bits) (t.n_inputs lsl chunk_bits);
+    t.n_blocks <- b + 1;
+    b
+
+  (* The child of [n] along input [i], created without an output if
+     missing. *)
+  let add_child t n i =
+    if i < 0 || i >= t.n_inputs then invalid_arg "Moracle: input out of range";
+    let l = link t n in
+    if l = 0 then begin
+      let x = new_node t i in
+      set_link t n x;
+      x
+    end
+    else if fanned t n then begin
+      let c = slot t l i in
+      if c <> 0 then c
+      else begin
+        let x = new_node t i in
+        set_slot t l i x;
+        x
+      end
+    end
+    else if label t l = i then l
     else begin
-      if Array.length node.children = 0 then
-        node.children <- Array.make t.n_inputs t.absent;
-      let c = leaf () in
-      node.children.(i) <- c;
-      c
+      let b = new_block t in
+      set_slot t b (label t l) l;
+      let x = new_node t i in
+      set_slot t b i x;
+      set_tag t n (tag t n lor 1);
+      set_link t n b;
+      x
     end
 
   (* Insert [outputs] along [word] and return them as dictionary entries.
      With [force], overwrite the outputs already there — used when
      arbitration decided a previously cached answer was the corrupt one;
      without it, a differing output raises [Inconsistent]. *)
-  let rec insert_from ~force t node word outputs =
+  let rec insert_from ~force t n word outputs =
     match (word, outputs) with
     | [], [] -> []
     | i :: wrest, o :: orest ->
-        let c = add_child t node i in
-        (if c.code < 0 || force then c.code <- intern t o
+        let c = add_child t n i in
+        let had = code t c in
+        (if had < 0 || force then set_code t c (intern t o)
          else
-           let d = t.dict.(c.code) in
+           let d = t.dict.(had) in
            if not (d == o || d = o) then
              raise
                (Inconsistent
                   "Moracle: inconsistent outputs for the same input word (the \
                    system under learning is nondeterministic)"));
-        t.dict.(c.code) :: insert_from ~force t c wrest orest
+        t.dict.(code t c) :: insert_from ~force t c wrest orest
     | _ -> invalid_arg "Moracle.Trie.insert: length mismatch"
 
-  let insert t word outputs = insert_from ~force:false t t.root word outputs
-  let insert_force t word outputs = insert_from ~force:true t t.root word outputs
+  let insert t word outputs = insert_from ~force:false t root word outputs
+  let insert_force t word outputs = insert_from ~force:true t root word outputs
 
   (* Dump format, see [knowledge] below. *)
   let mask_width n_inputs = (n_inputs / 8) + if n_inputs land 7 = 0 then 0 else 1
@@ -201,26 +329,37 @@ module Trie = struct
       add_varint buf (n lsr 7)
     end
 
-  let rec dump t buf node =
-    let ch = node.children in
-    let n = Array.length ch in
-    if n = 0 then
-      for _ = 1 to mask_width t.n_inputs do
+  let rec dump t buf n =
+    let l = link t n and width = mask_width t.n_inputs in
+    if l = 0 then
+      for _ = 1 to width do
         Buffer.add_char buf '\000'
       done
+    else if not (fanned t n) then begin
+      let i = label t l and code = code t l in
+      for b = 0 to width - 1 do
+        Buffer.add_char buf
+          (if code >= 0 && i lsr 3 = b then Char.unsafe_chr (1 lsl (i land 7))
+           else '\000')
+      done;
+      if code >= 0 then begin
+        add_varint buf code;
+        dump t buf l
+      end
+    end
     else begin
       let m = ref 0 in
-      for i = 0 to n - 1 do
-        if ch.(i).code >= 0 then m := !m lor (1 lsl (i land 7));
-        if i land 7 = 7 || i = n - 1 then begin
+      for i = 0 to t.n_inputs - 1 do
+        if code t (slot t l i) >= 0 then m := !m lor (1 lsl (i land 7));
+        if i land 7 = 7 || i = t.n_inputs - 1 then begin
           Buffer.add_char buf (Char.unsafe_chr !m);
           m := 0
         end
       done;
-      for i = 0 to n - 1 do
-        let c = ch.(i) in
-        if c.code >= 0 then begin
-          add_varint buf c.code;
+      for i = 0 to t.n_inputs - 1 do
+        let c = slot t l i in
+        if code t c >= 0 then begin
+          add_varint buf (code t c);
           dump t buf c
         end
       done
@@ -300,7 +439,7 @@ let knowledge_size k =
 
 let export (trie : _ Trie.t) =
   let buf = Buffer.create 4096 in
-  Trie.dump trie buf trie.root;
+  Trie.dump trie buf Trie.root;
   {
     n_inputs = trie.n_inputs;
     outputs = Array.sub trie.dict 0 trie.size;
@@ -317,9 +456,9 @@ let preload (trie : _ Trie.t) k =
          k.n_inputs trie.n_inputs);
   let remap = Array.map (Trie.intern trie) k.outputs in
   ignore
-    (walk k trie.root (fun parent i code ->
+    (walk k Trie.root (fun parent i code ->
          let c = Trie.add_child trie parent i in
-         c.code <- remap.(code);
+         Trie.set_code trie c remap.(code);
          c)
       : int)
 

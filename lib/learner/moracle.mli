@@ -33,12 +33,17 @@ type stats = {
       (** queries answered by the prefix cache *)
   batches : Cq_util.Metrics.counter;
       (** [query_batch] calls reaching the system *)
+  batched : Cq_util.Metrics.counter;
+      (** queries that reached the system inside a [query_batch] call;
+          [queries - batched] arrived one at a time *)
   conflicts : Cq_util.Metrics.counter;
       (** prefix-cache conflicts observed (each one is a transient
           measurement flip somewhere, unless it escalates to
           {!Inconsistent}) *)
   latency : Cq_util.Metrics.histogram;
-      (** seconds per membership query/batch reaching the system *)
+      (** seconds per call reaching the system, one sample for a single
+          query or a whole batch alike: its count is
+          [queries - batched + batches] *)
 }
 (** Registry-backed accounting ({!Cq_util.Metrics}). *)
 

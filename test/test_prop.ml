@@ -306,6 +306,304 @@ let test_quotient_learns_truth () =
       ("New1", 3); ("New2", 3);
     ]
 
+(* --- Conformance suites against their list-based reference ------------ *)
+
+(* The W / Wp construction as it was first written: whole signatures
+   recomputed with [Mealy.run_from] for every added word, identification
+   sets picked by comparing output lists, and a product BFS over tuple
+   states carrying path lists.  [Equivalence] computes the same sets by
+   partition refinement over the compiled tables; the property below
+   holds it to this reference word for word. *)
+module Reference = struct
+  module Eq = Cq_learner.Equivalence
+
+  let find_counterexample ?(from_a = None) ?(from_b = None) a b =
+    let k = Mealy.n_inputs a in
+    let start =
+      ( Option.value from_a ~default:(Mealy.init a),
+        Option.value from_b ~default:(Mealy.init b) )
+    in
+    let seen = Hashtbl.create 997 in
+    let queue = Queue.create () in
+    Hashtbl.replace seen start ();
+    Queue.add (start, []) queue;
+    let result = ref None in
+    (try
+       while not (Queue.is_empty queue) do
+         let (sa, sb), path = Queue.take queue in
+         for i = 0 to k - 1 do
+           let sa', oa = Mealy.step a sa i in
+           let sb', ob = Mealy.step b sb i in
+           if oa <> ob then begin
+             result := Some (List.rev (i :: path));
+             raise Exit
+           end;
+           let st = (sa', sb') in
+           if not (Hashtbl.mem seen st) then begin
+             Hashtbl.replace seen st ();
+             Queue.add (st, i :: path) queue
+           end
+         done
+       done
+     with Exit -> ());
+    !result
+
+  let characterization_set_on m subset =
+    let w = ref [] in
+    let signature s = List.map (fun word -> Mealy.run_from m s word) !w in
+    let unseparable : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
+    let finished = ref false in
+    while not !finished do
+      let groups : ('a, int) Hashtbl.t = Hashtbl.create 97 in
+      let clash = ref None in
+      List.iter
+        (fun s ->
+          if !clash = None then begin
+            let sg = Cq_util.Deep.pack (signature s) in
+            match Hashtbl.find_opt groups sg with
+            | Some s' ->
+                if not (Hashtbl.mem unseparable (s', s)) then
+                  clash := Some (s', s)
+            | None -> Hashtbl.replace groups sg s
+          end)
+        subset;
+      match !clash with
+      | None -> finished := true
+      | Some (p, q) -> (
+          match find_counterexample ~from_a:(Some p) ~from_b:(Some q) m m with
+          | Some word -> w := word :: !w
+          | None -> Hashtbl.replace unseparable (p, q) ())
+    done;
+    !w
+
+  let all m = List.init (Mealy.n_states m) Fun.id
+  let characterization_set m = characterization_set_on m (all m)
+
+  (* Indexed by position in [subset]. *)
+  let identification_sets_on m subset w_set =
+    let response s w = Mealy.run_from m s w in
+    Array.of_list
+      (List.map
+         (fun s ->
+           let confusable = ref (List.filter (fun t -> t <> s) subset) in
+           let chosen = ref [] in
+           List.iter
+             (fun w ->
+               if !confusable <> [] then begin
+                 let rs = response s w in
+                 let still = List.filter (fun t -> response t w = rs) !confusable in
+                 if List.length still < List.length !confusable then begin
+                   chosen := w :: !chosen;
+                   confusable := still
+                 end
+               end)
+             w_set;
+           List.rev !chosen)
+         subset)
+
+  let identification_sets m w_set = identification_sets_on m (all m) w_set
+
+  let w_method_suite ~depth h =
+    let n_inputs = Mealy.n_inputs h in
+    let access = Mealy.access_sequences h in
+    let w_set = [] :: characterization_set h in
+    let middles = Eq.words_up_to n_inputs depth in
+    middles
+    |> Seq.concat_map (fun m ->
+           List.to_seq (all h)
+           |> Seq.concat_map (fun s ->
+                  let acc = Option.value access.(s) ~default:[] in
+                  Seq.init n_inputs (fun i ->
+                      List.to_seq w_set |> Seq.map (fun w -> acc @ (i :: m) @ w))
+                  |> Seq.concat))
+
+  let wp_method_suite ~depth h =
+    let n_inputs = Mealy.n_inputs h in
+    let access = Mealy.access_sequences h in
+    let w_set = characterization_set h in
+    let w_all = [] :: w_set in
+    let wp = identification_sets h w_set in
+    let middles = Eq.words_up_to n_inputs depth in
+    let phase1 =
+      List.to_seq (all h)
+      |> Seq.concat_map (fun s ->
+             let acc = Option.value access.(s) ~default:[] in
+             middles
+             |> Seq.concat_map (fun m ->
+                    List.to_seq w_all |> Seq.map (fun w -> acc @ m @ w)))
+    in
+    let phase2 =
+      List.to_seq (all h)
+      |> Seq.concat_map (fun s ->
+             let acc = Option.value access.(s) ~default:[] in
+             Seq.init n_inputs (fun i ->
+                 middles
+                 |> Seq.concat_map (fun m ->
+                        let reached = Mealy.state_after h (acc @ (i :: m)) in
+                        let ws = match wp.(reached) with [] -> [ [] ] | ws -> ws in
+                        List.to_seq ws |> Seq.map (fun w -> acc @ (i :: m) @ w)))
+             |> Seq.concat)
+    in
+    Seq.append phase1 phase2
+
+  let wp_quotient_suite ~depth ~is_rep ~sweep h =
+    let n_inputs = Mealy.n_inputs h in
+    let access = Mealy.access_sequences h in
+    let acc s = Option.value access.(s) ~default:[] in
+    let states = all h in
+    let rep_states = List.filter is_rep states in
+    let aliased = List.filter (fun s -> not (is_rep s)) states in
+    let w_set = sweep :: characterization_set_on h rep_states in
+    let w_all = [] :: w_set in
+    let wp = Hashtbl.create 64 in
+    List.iteri
+      (fun j ws -> Hashtbl.replace wp (List.nth rep_states j) ws)
+      (Array.to_list (identification_sets_on h rep_states w_set));
+    let middles = Eq.words_up_to n_inputs depth in
+    let phase1 =
+      List.to_seq rep_states
+      |> Seq.concat_map (fun s ->
+             middles
+             |> Seq.concat_map (fun m ->
+                    List.to_seq w_all |> Seq.map (fun w -> acc s @ m @ w)))
+    in
+    let phase2 =
+      List.to_seq rep_states
+      |> Seq.concat_map (fun s ->
+             Seq.init n_inputs (fun i ->
+                 middles
+                 |> Seq.concat_map (fun m ->
+                        let prefix = acc s @ (i :: m) in
+                        let reached = Mealy.state_after h prefix in
+                        let ws =
+                          if is_rep reached then
+                            match Hashtbl.find_opt wp reached with
+                            | Some [] | None -> [ [] ]
+                            | Some ws -> ws
+                          else [ sweep ]
+                        in
+                        List.to_seq ws |> Seq.map (fun w -> prefix @ w)))
+             |> Seq.concat)
+    in
+    let spot =
+      let full_spots = List.length aliased * n_inputs <= 8192 in
+      List.to_seq (List.mapi (fun j s -> (j, s)) aliased)
+      |> Seq.concat_map (fun (j, s) ->
+             if full_spots || j mod 4 = 0 then
+               Seq.cons (acc s @ sweep)
+                 (Seq.init n_inputs (fun i -> acc s @ (i :: sweep)))
+             else Seq.return (acc s @ sweep))
+    in
+    Seq.append phase1 (Seq.append phase2 spot)
+end
+
+(* A random machine over [k] inputs and three outputs: [base] random
+   states, then (sometimes) exact copies of some of them with part of the
+   incoming edges redirected to the copy — non-minimal, so some pairs no
+   word separates — and (sometimes) extra states nothing points to. *)
+let random_machine prng ~k =
+  let base = 1 + Prng.int prng 7 in
+  let rows = ref [] in
+  for _ = 1 to base do
+    rows :=
+      ( Array.init k (fun _ -> Prng.int prng base),
+        Array.init k (fun _ -> Prng.int prng 3) )
+      :: !rows
+  done;
+  let rows = ref (Array.of_list (List.rev !rows)) in
+  if Prng.bool prng 0.5 then
+    for _ = 1 to 1 + Prng.int prng 3 do
+      let src = Prng.int prng (Array.length !rows) in
+      let copy = Array.length !rows in
+      let next, out = !rows.(src) in
+      rows := Array.append !rows [| (Array.copy next, Array.copy out) |];
+      Array.iter
+        (fun (next, _) ->
+          Array.iteri
+            (fun i t -> if t = src && Prng.bool prng 0.5 then next.(i) <- copy)
+            next)
+        !rows
+    done;
+  if Prng.bool prng 0.5 then begin
+    let reachable = Array.length !rows in
+    let extra = 1 + Prng.int prng 3 in
+    let total = reachable + extra in
+    rows :=
+      Array.append !rows
+        (Array.init extra (fun _ ->
+             ( Array.init k (fun _ -> Prng.int prng total),
+               Array.init k (fun _ -> Prng.int prng 3) )))
+  end;
+  Mealy.make ~init:0 ~n_inputs:k
+    ~next:(Array.map fst !rows) ~out:(Array.map snd !rows)
+
+let test_conformance_matches_reference () =
+  let module Eq = Cq_learner.Equivalence in
+  let prng = prng_for "conformance" "reference" in
+  let fail_on what m =
+    Alcotest.fail
+      (Fmt.str "%s differs from the reference on@.%a" what
+         (Mealy.pp ~pp_input:Fmt.int ~pp_output:Fmt.int)
+         m)
+  in
+  let same what m a b = if a <> b then fail_on what m in
+  let suite s = List.of_seq s in
+  let non_minimal = ref 0 and unreachable = ref 0 in
+  for _ = 1 to iters do
+    let k = 1 + Prng.int prng 3 in
+    let m = random_machine prng ~k in
+    let n = Mealy.n_states m in
+    if Array.exists Option.is_none (Mealy.access_sequences m) then
+      incr unreachable;
+    let equivalent_pair =
+      List.exists
+        (fun s ->
+          List.exists
+            (fun t ->
+              Reference.find_counterexample ~from_a:(Some s) ~from_b:(Some t) m m
+              = None)
+            (List.init (n - s - 1) (fun d -> s + 1 + d)))
+        (List.init n Fun.id)
+    in
+    if equivalent_pair then incr non_minimal;
+    let w = Eq.characterization_set m in
+    same "W" m w (Reference.characterization_set m);
+    same "Wp sets" m (Eq.identification_sets m w)
+      (Reference.identification_sets m w);
+    let subset = List.filter (fun _ -> Prng.bool prng 0.6) (List.init n Fun.id) in
+    let w_on = Eq.characterization_set_on m subset in
+    same "W on a subset" m w_on (Reference.characterization_set_on m subset);
+    same "Wp sets on a subset" m
+      (Eq.identification_sets_on m subset w_on)
+      (Reference.identification_sets_on m subset w_on);
+    same "W-method suite" m
+      (suite (Eq.w_method_suite ~depth:1 m))
+      (suite (Reference.w_method_suite ~depth:1 m));
+    same "Wp-method suite" m
+      (suite (Eq.wp_method_suite ~depth:1 m))
+      (suite (Reference.wp_method_suite ~depth:1 m));
+    let is_rep s = List.mem s subset in
+    let sweep = random_word prng ~n_symbols:k |> List.filteri (fun i _ -> i < 3) in
+    same "Wp quotient suite" m
+      (suite (Eq.wp_quotient_suite ~depth:1 ~is_rep ~sweep m))
+      (suite (Reference.wp_quotient_suite ~depth:1 ~is_rep ~sweep m));
+    (* Counterexamples between two states of [m], and between [m] and an
+       unrelated machine over the same inputs. *)
+    let other = random_machine prng ~k in
+    let from_a = Some (Prng.int prng n) and from_b = Some (Prng.int prng n) in
+    same "counterexample (same machine)" m
+      (Mealy.find_counterexample ~from_a ~from_b m m)
+      (Reference.find_counterexample ~from_a ~from_b m m);
+    same "counterexample (two machines)" m
+      (Mealy.find_counterexample m other)
+      (Reference.find_counterexample m other)
+  done;
+  (* The sample must reach the unseparable-pair path and states no
+     access word reaches. *)
+  Alcotest.(check bool) "some machines are non-minimal" true (!non_minimal > 0);
+  Alcotest.(check bool) "some machines have unreachable states" true
+    (!unreachable > 0)
+
 let suite =
   ( "prop",
     [
@@ -321,4 +619,6 @@ let suite =
         test_learned_automaton_agrees;
       Alcotest.test_case "quotient learning recovers ground truth (full zoo)"
         `Slow test_quotient_learns_truth;
+      Alcotest.test_case "W, Wp and counterexamples match the list reference"
+        `Quick test_conformance_matches_reference;
     ] )

@@ -486,6 +486,56 @@ let test_stats_fields_are_registry_views () =
       Alcotest.(check int) "histogram observation visible" 1 h.Metrics.hs_count
   | _ -> Alcotest.fail "oracle.batch_depth not a registry histogram"
 
+(* --- Reconciling identities -------------------------------------------- *)
+
+(* [member.latency_seconds] takes one sample per call reaching the system
+   under learning, a single query and a whole batch alike, so its count
+   is queries - batched + batches.  Checked over both simulated engines
+   (one query at a time, and prefix-shared batches) and a learn on the
+   toy CPU's hwsim L1. *)
+let test_member_latency_identity () =
+  let check_identity what reg =
+    let snap = Metrics.snapshot reg in
+    let counter name =
+      match List.assoc_opt name snap with
+      | Some (Metrics.Counter_value v) -> v
+      | _ -> Alcotest.fail (Printf.sprintf "%s: no counter %s" what name)
+    in
+    let samples =
+      match List.assoc_opt "member.latency_seconds" snap with
+      | Some (Metrics.Histogram_value h) -> h.Metrics.hs_count
+      | _ -> Alcotest.fail (what ^ ": no member.latency_seconds")
+    in
+    let queries = counter "member.queries" in
+    let batched = counter "member.batched" in
+    let batches = counter "member.batches" in
+    Alcotest.(check bool) (what ^ ": queries reached the system") true
+      (queries > 0);
+    Alcotest.(check int)
+      (what ^ ": latency count = queries - batched + batches")
+      (queries - batched + batches) samples;
+    batched
+  in
+  let plru4 = Cq_policy.Zoo.make_exn ~name:"PLRU" ~assoc:4 in
+  let sim engine =
+    let reg = Metrics.create () in
+    ignore
+      (Cq_core.Learn.learn_simulated ~engine ~identify:false ~metrics:reg plru4);
+    check_identity (Cq_core.Learn.engine_to_string engine) reg
+  in
+  ignore (sim Cq_core.Learn.Sequential);
+  Alcotest.(check bool) "the batched engine batches" true
+    (sim Cq_core.Learn.Batched > 0);
+  let reg = Metrics.create () in
+  let machine =
+    Cq_hwsim.Machine.create ~noise:Cq_hwsim.Machine.quiet_noise
+      Cq_hwsim.Cpu_model.toy
+  in
+  ignore
+    (Cq_core.Hardware.learn_set ~metrics:reg machine Cq_hwsim.Cpu_model.L1
+       ~set:3);
+  ignore (check_identity "toy-CPU hwsim L1" reg)
+
 let suite =
   ( "trace",
     [
@@ -507,4 +557,6 @@ let suite =
       Alcotest.test_case "registry JSON export" `Quick test_registry_json;
       Alcotest.test_case "stats fields are registry views" `Quick
         test_stats_fields_are_registry_views;
+      Alcotest.test_case "member latency count reconciles with queries" `Quick
+        test_member_latency_identity;
     ] )
